@@ -9,7 +9,7 @@ and lattice invariants come out of :mod:`k3hilb.zlinalg`.
 import multiprocessing
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement, product
-from math import gcd, lcm
+from math import gcd
 
 from . import k3, store, zlinalg
 from .hilb_basis import an_weight, canonical_class, deg, hilb_base, pad_class
@@ -70,15 +70,12 @@ def sym_power_matrix(n, kpow, jobs=1):
     """
     rows = hilb_base(n, 2 * kpow)
     cols = list(combinations_with_replacement(hilb_base(n, 2), kpow))
-    key = {"kind": "sym_power_matrix", "n": n, "k": kpow}
-    if store.configured_dir() is not None:
-        hit = store.cache_get(key)
-        if hit is not None:
-            return store.decode_int_matrix(hit)
-    columns = _pool_map(_sym_column, [(c, n) for c in cols], jobs)
-    mat = _assemble(rows, columns)
-    store.cache_put(key, store.encode_int_matrix(mat))
-    return mat
+    return store.cached(
+        {"kind": "sym_power_matrix", "n": n, "k": kpow},
+        lambda: _assemble(rows, _pool_map(_sym_column, [(c, n) for c in cols], jobs)),
+        encode=store.encode_int_matrix,
+        decode=store.decode_int_matrix,
+    )
 
 
 def mixed_matrix(n, jobs=1):
@@ -90,15 +87,12 @@ def mixed_matrix(n, jobs=1):
         raise ValueError("mixed map needs n >= 2")
     rows = hilb_base(n, 6)
     cols = list(product(hilb_base(n, 2), hilb_base(n, 4)))
-    key = {"kind": "mixed_matrix", "n": n}
-    if store.configured_dir() is not None:
-        hit = store.cache_get(key)
-        if hit is not None:
-            return store.decode_int_matrix(hit)
-    columns = _pool_map(_pair_column, [(c, n) for c in cols], jobs)
-    mat = _assemble(rows, columns)
-    store.cache_put(key, store.encode_int_matrix(mat))
-    return mat
+    return store.cached(
+        {"kind": "mixed_matrix", "n": n},
+        lambda: _assemble(rows, _pool_map(_pair_column, [(c, n) for c in cols], jobs)),
+        encode=store.encode_int_matrix,
+        decode=store.decode_int_matrix,
+    )
 
 
 def top_class(n):
@@ -126,23 +120,25 @@ def _gram_row(task):
     return [cup_int(a, basis[j], n).get(top, 0) for j in range(i, len(basis))]
 
 
-def middle_gram_matrix(n, jobs=1):
-    """Gram matrix of the integral pairing on the degree-2n basis of Hilb^n."""
-    basis = hilb_base(n, 2 * n)
-    key = {"kind": "middle_gram", "n": n}
-    if store.configured_dir() is not None:
-        hit = store.cache_get(key)
-        if hit is not None:
-            return store.decode_int_matrix(hit)
-    m = len(basis)
+def _gram(n, jobs):
+    m = len(hilb_base(n, 2 * n))
     half = _pool_map(_gram_row, [(i, n) for i in range(m)], jobs)
     g = [[0] * m for _ in range(m)]
     for i in range(m):
         for off, val in enumerate(half[i]):
             g[i][i + off] = val
             g[i + off][i] = val
-    store.cache_put(key, store.encode_int_matrix(g))
     return g
+
+
+def middle_gram_matrix(n, jobs=1):
+    """Gram matrix of the integral pairing on the degree-2n basis of Hilb^n."""
+    return store.cached(
+        {"kind": "middle_gram", "n": n},
+        lambda: _gram(n, jobs),
+        encode=store.encode_int_matrix,
+        decode=store.decode_int_matrix,
+    )
 
 
 @dataclass(frozen=True)
@@ -283,45 +279,18 @@ def class_vector(cls, n, degree):
     return vec
 
 
-def _smith_row_transform(matrix):
-    factors, u, _ = zlinalg.smith_normal_form(
-        zlinalg.dedup_columns(matrix), transforms=True
-    )
-    return factors, u
+def _generator_order(factors, u, vec, expected, primary=None):
+    """The order of a generator's image as checked against `expected`.
 
-
-def _generator_order_from(factors, u, vec):
-    """Order of the torsion component of a vector's image in the cokernel.
-
-    Returns 0 (infinite) if the image has a free component that is primitive
-    or not divisible by the torsion exponent; otherwise the free component is
-    a multiple of the exponent, the torsion component is independent of the
-    choice of splitting, and its exact order is returned.
+    Expected order 0 (infinite) is checked as primitivity in the free part of
+    the quotient: 0 if the image is primitive there, else -1.  Otherwise the
+    torsion order of the image (see `zlinalg.image_order`), restricted to its
+    p-primary part when a prime `primary` is given.
     """
-    w = zlinalg.mat_vec(u, vec)
-    r = len(factors)
-    free = [w[i] for i in range(r, len(w))]
-    torsion = [(d, w[i]) for i, d in enumerate(factors) if d > 1]
-    exponent = torsion[-1][0] if torsion else 1
-    free_gcd = 0
-    for x in free:
-        free_gcd = gcd(free_gcd, x)
-    if free_gcd and (exponent == 1 or free_gcd % exponent):
-        return 0
-    order = 1
-    for d, wi in torsion:
-        rem = wi % d
-        order = lcm(order, d // gcd(d, rem if rem else d))
-    return order
-
-
-def _is_primitive_free_from(factors, u, vec):
-    """True iff the image is a primitive vector of the free part of the cokernel."""
-    w = zlinalg.mat_vec(u, vec)
-    g = 0
-    for x in w[len(factors) :]:
-        g = gcd(g, x)
-    return g == 1
+    if expected == 0:
+        return 0 if gcd(*zlinalg.mat_vec(u, vec)[len(factors) :]) == 1 else -1
+    order = zlinalg.image_order(factors, u, vec)
+    return _primary_part(order, primary) if primary else order
 
 
 def verify_quotient_generator(n, cls, matrix, expected_order, degree):
@@ -333,10 +302,8 @@ def verify_quotient_generator(n, cls, matrix, expected_order, degree):
     only because that component is a multiple of the torsion exponent.
     """
     vec = class_vector(cls, n, degree)
-    factors, u = _smith_row_transform(matrix)
-    if expected_order == 0:
-        return _is_primitive_free_from(factors, u, vec)
-    return _generator_order_from(factors, u, vec) == expected_order
+    factors, u = zlinalg.smith_normal_form(zlinalg.dedup_columns(matrix), transforms=True)
+    return _generator_order(factors, u, vec, expected_order) == expected_order
 
 
 @dataclass(frozen=True)
@@ -424,22 +391,18 @@ def cokernel_report(n, kind, check_generators=False, jobs=1):
     if generators:
         # one Smith reduction with transforms serves the cokernel and every
         # generator check
-        factors, u = _smith_row_transform(mat)
-        torsion = tuple(d for d in factors if d != 1)
-        coker = zlinalg.CokernelStructure(
-            torsion=torsion, free_rank=len(mat) - len(factors)
+        factors, u = zlinalg.smith_normal_form(zlinalg.dedup_columns(mat), transforms=True)
+        coker = zlinalg.CokernelStructure.from_factors(factors, len(mat))
+        checks = tuple(
+            GeneratorCheck(
+                name=name,
+                expected_order=expected,
+                order=_generator_order(
+                    factors, u, class_vector(cls, n, degree), expected, *primary
+                ),
+            )
+            for name, cls, expected, *primary in generators
         )
-        found = []
-        for name, cls, expected, *primary in generators:
-            vec = class_vector(cls, n, degree)
-            if expected == 0:
-                order = 0 if _is_primitive_free_from(factors, u, vec) else -1
-            else:
-                order = _generator_order_from(factors, u, vec)
-                if primary:
-                    order = _primary_part(order, primary[0])
-            found.append(GeneratorCheck(name=name, expected_order=expected, order=order))
-        checks = tuple(found)
     else:
         coker = zlinalg.cokernel(mat)
         checks = ()

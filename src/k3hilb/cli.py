@@ -8,6 +8,7 @@ structured output with the same information.
 
 import argparse
 import json
+import os
 import sys
 
 from . import analysis, store
@@ -353,10 +354,13 @@ def run(argv=None, out=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    cache_dir = args.cache_dir or store.dir_from_env()
-    if cache_dir:
-        store.configure(cache_dir)
     try:
+        cpus = os.cpu_count() or 1
+        if not 1 <= args.jobs <= cpus:
+            raise UsageError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
+        cache_dir = args.cache_dir or store.dir_from_env()
+        if cache_dir:
+            store.configure(cache_dir)
         return args.fn(args, out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -365,3 +369,7 @@ def run(argv=None, out=None):
 
 def main():
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

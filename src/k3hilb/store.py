@@ -35,10 +35,6 @@ def configure(directory):
     _active_dir = directory
 
 
-def configured_dir():
-    return _active_dir
-
-
 def dir_from_env():
     """Cache directory from the environment, or None."""
     return os.environ.get(ENV_VAR) or None
@@ -106,7 +102,13 @@ def cache_put(key, payload, directory=None):
 
 
 def cached(key, compute, encode=None, decode=None):
-    """Fetch key from the cache, computing (and storing) it on a miss."""
+    """Fetch key from the cache, computing (and storing) it on a miss.
+
+    With no cache directory configured this is just compute(): nothing is
+    encoded or decoded.
+    """
+    if _active_dir is None:
+        return compute()
     hit = cache_get(key)
     if hit is not None:
         return decode(hit) if decode else hit

@@ -75,24 +75,6 @@ def invert_lower_triangular(basis, entry):
     return inv
 
 
-def _invert_general(basis, matrix):
-    """Exact Gauss-Jordan inverse, the fallback if triangularity ever fails."""
-    k = len(basis)
-    a = [[Fraction(matrix[i][j]) for j in range(k)] + [Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("singular weight block")
-        a[col], a[piv] = a[piv], a[col]
-        d = a[col][col]
-        a[col] = [x / d for x in a[col]]
-        for r in range(k):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[k:] for row in a]
-
-
 def _build_block(w):
     basis = part_of_weight(w)
     index = {p: i for i, p in enumerate(basis)}
@@ -119,12 +101,10 @@ def _build_block(w):
     inv_block = tuple(inv_block)
 
     # psi = inverse of the psi^-1 block; lower triangular in canonical order.
-    triangular = all(inv_block[i][j] == 0 for i in range(k) for j in range(i + 1, k))
-    if triangular:
-        inv_fn = invert_lower_triangular(basis, lambda a, b: inv_block[index[a]][index[b]])
-        psi_frac = [[inv_fn(basis[i], basis[j]) for j in range(k)] for i in range(k)]
-    else:  # pragma: no cover - not hit for any verified weight
-        psi_frac = _invert_general(basis, inv_block)
+    if any(inv_block[i][j] for i in range(k) for j in range(i + 1, k)):
+        raise ArithmeticError(f"psi^-1 block of weight {w} is not lower triangular")
+    inv_fn = invert_lower_triangular(basis, lambda a, b: inv_block[index[a]][index[b]])
+    psi_frac = [[inv_fn(basis[i], basis[j]) for j in range(k)] for i in range(k)]
     for row in psi_frac:
         for x in row:
             if x.denominator != 1:
@@ -153,8 +133,6 @@ def _weight_block(w):
         psi_block = tuple(tuple(int(x) for x in row) for row in payload["psi"])
         return basis, index, inv_block, psi_block
 
-    if store.configured_dir() is None:
-        return _build_block(w)
     return store.cached(key, lambda: _build_block(w), encode=encode, decode=decode)
 
 

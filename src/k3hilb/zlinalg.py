@@ -17,14 +17,13 @@ __all__ = [
     "smith_normal_form",
     "cokernel",
     "CokernelStructure",
+    "image_order",
     "signature",
     "parity",
     "rank",
     "has_full_column_rank",
-    "det",
     "is_unimodular_gram",
     "identity_matrix",
-    "mat_mul",
     "mat_vec",
     "write_matrix",
     "read_matrix",
@@ -33,14 +32,6 @@ __all__ = [
 
 def identity_matrix(k):
     return [[int(i == j) for j in range(k)] for i in range(k)]
-
-
-def mat_mul(a, b):
-    if not a or not b:
-        return [[] for _ in a]
-    cols = len(b[0])
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def mat_vec(a, v):
@@ -111,7 +102,7 @@ def _row_hermite(a, u, row0, col0):
             break
 
 
-def _col_hermite(a, v, row0, col0):
+def _col_hermite(a, row0, col0):
     """Column echelon reduction of the block a[row0:, col0:], in place."""
     m = len(a)
     n = len(a[0]) if m else 0
@@ -121,16 +112,10 @@ def _col_hermite(a, v, row0, col0):
     def col_op(dst, src, q):
         for row in a[row0:]:
             row[dst] -= q * row[src]
-        if v is not None:
-            for row in v:
-                row[dst] -= q * row[src]
 
     def col_swap(i, j):
         for row in a[row0:]:
             row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
 
     for rowi in range(row0, m):
         piv = None
@@ -160,9 +145,6 @@ def _col_hermite(a, v, row0, col0):
         if arow[r] < 0:
             for row in a[row0:]:
                 row[r] = -row[r]
-            if v is not None:
-                for row in v:
-                    row[r] = -row[r]
         p = arow[r]
         for j in prev_cols:
             q = arow[j] // p
@@ -189,11 +171,14 @@ def _needs_recondition(a, t, m, n):
 
 
 def smith_normal_form(mat, transforms=False):
-    """Invariant factors of an integer matrix, optionally with transforms.
+    """Invariant factors of an integer matrix, optionally with the row transform.
 
     Returns the list of positive invariant factors d_1 | d_2 | ... | d_r
-    (r = rank); with transforms=True returns (factors, U, V) where U and V
-    are unimodular and U * mat * V is the diagonal Smith form.
+    (r = rank); with transforms=True returns (factors, U) where U is
+    unimodular and U * mat * V is the diagonal Smith form for some unimodular
+    V.  Column operations never touch U, so V is not built: rows r and beyond
+    of U * mat vanish and d_i divides row i, which is all that the order of
+    an image in the cokernel depends on.
 
     Pivots are the remaining entries of least absolute value.  Large inputs
     get a Hermite reconditioning pass up front and whenever entries swell,
@@ -205,7 +190,6 @@ def smith_normal_form(mat, transforms=False):
     if any(len(row) != n for row in a):
         raise ValueError("ragged matrix")
     u = identity_matrix(m) if transforms else None
-    v = identity_matrix(n) if transforms else None
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -215,9 +199,6 @@ def smith_normal_form(mat, transforms=False):
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        if v is not None:
-            for row in v:
-                row[i], row[j] = row[j], row[i]
 
     def add_row(src, dst, f, start):
         # columns left of `start` are already cleared in both rows
@@ -230,9 +211,6 @@ def smith_normal_form(mat, transforms=False):
     def add_col(src, dst, f, start):
         for row in a[start:]:
             row[dst] += f * row[src]
-        if v is not None:
-            for row in v:
-                row[dst] += f * row[src]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -243,12 +221,12 @@ def smith_normal_form(mat, transforms=False):
     recondition = limit >= _RECONDITION_DIM
     if recondition:
         _row_hermite(a, u, 0, 0)
-        _col_hermite(a, v, 0, 0)
+        _col_hermite(a, 0, 0)
     t = 0
     while t < limit:
         if recondition and t and t % _RECONDITION_EVERY == 0 and _needs_recondition(a, t, m, n):
             _row_hermite(a, u, t, t)
-            _col_hermite(a, v, t, t)
+            _col_hermite(a, t, t)
         # minimal-absolute-value pivot in the remaining submatrix
         best = None
         for i in range(t, m):
@@ -321,7 +299,7 @@ def smith_normal_form(mat, transforms=False):
 
     factors = [a[i][i] for i in range(limit) if a[i][i]]
     if transforms:
-        return factors, u, v
+        return factors, u
     return factors
 
 
@@ -331,6 +309,11 @@ class CokernelStructure:
 
     torsion: tuple
     free_rank: int
+
+    @classmethod
+    def from_factors(cls, factors, rows):
+        """The cokernel of a matrix with `rows` rows and these invariant factors."""
+        return cls(torsion=tuple(d for d in factors if d != 1), free_rank=rows - len(factors))
 
     def describe(self):
         parts = [f"Z/{d}" for d in self.torsion]
@@ -354,22 +337,29 @@ def dedup_columns(mat):
 
 def cokernel(mat):
     """Structure of Z^rows / column-span(mat)."""
-    m = len(mat)
-    factors = smith_normal_form(dedup_columns(mat))
-    torsion = tuple(d for d in factors if d != 1)
-    return CokernelStructure(torsion=torsion, free_rank=m - len(factors))
+    return CokernelStructure.from_factors(smith_normal_form(dedup_columns(mat)), len(mat))
 
 
-def image_order(mat, vector):
-    """Order of a vector's image in the cokernel of mat; 0 means infinite order."""
-    factors, u, _ = smith_normal_form(dedup_columns(mat), transforms=True)
-    w = mat_vec(u, vector)
+def image_order(factors, u, vec):
+    """Order of the torsion component of a vector's image in the cokernel.
+
+    `factors` and `u` are the invariant factors and row transform from
+    `smith_normal_form(..., transforms=True)`.  Returns 0 (infinite) if the
+    image has a free component that is not a multiple of the torsion exponent
+    (in particular any nonzero one when there is no torsion); otherwise the
+    torsion component is independent of the choice of splitting, and its
+    exact order is returned.
+    """
+    w = mat_vec(u, vec)
     r = len(factors)
-    if any(w[i] for i in range(r, len(w))):
+    torsion = [(d, w[i]) for i, d in enumerate(factors) if d > 1]
+    exponent = torsion[-1][0] if torsion else 1
+    free_gcd = gcd(*w[r:])
+    if free_gcd and (exponent == 1 or free_gcd % exponent):
         return 0
     order = 1
-    for i, d in enumerate(factors):
-        rem = w[i] % d
+    for d, wi in torsion:
+        rem = wi % d
         order = lcm(order, d // gcd(d, rem if rem else d))
     return order
 
@@ -434,30 +424,6 @@ def parity(g):
     return "odd" if any(g[i][i] % 2 for i in range(n)) else "even"
 
 
-def det(mat):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(mat)
-    if any(len(row) != n for row in mat):
-        raise ValueError("not square")
-    if n == 0:
-        return 1
-    a = [[int(x) for x in row] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def _rank_mod_p(mat, p):
     m = np.array(mat, dtype=object) % p
     m = m.astype(np.int64)
@@ -513,24 +479,18 @@ def rank(mat):
     """Exact rank over the integers."""
     if not mat or not mat[0]:
         return 0
-    # a modular rank is a lower bound; if it hits full rank we are done
-    r = max(_rank_mod_p(mat, p) for p in _CERT_PRIMES)
-    if r == min(len(mat), len(mat[0])):
-        return r
+    # a modular rank is a lower bound; once one reaches the maximum we are done
+    full = min(len(mat), len(mat[0]))
+    if any(_rank_mod_p(mat, p) == full for p in _CERT_PRIMES):
+        return full
     return _rank_exact(mat)
 
 
 def has_full_column_rank(mat):
     """True iff the columns are linearly independent over Q (hence over Z)."""
-    if not mat:
+    if not mat or not mat[0]:
         return True
-    cols = len(mat[0])
-    if cols == 0:
-        return True
-    for p in _CERT_PRIMES:
-        if _rank_mod_p(mat, p) == cols:
-            return True
-    return _rank_exact(mat) == cols
+    return rank(mat) == len(mat[0])
 
 
 def is_unimodular_gram(g):

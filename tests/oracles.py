@@ -9,8 +9,8 @@ from the fully naive double symmetrization.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
-from math import comb, factorial
+from itertools import combinations, permutations
+from math import comb, factorial, gcd, prod
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +179,77 @@ def rational_rank(mat):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def mat_mul(a, b):
+    if not a or not b:
+        return [[] for _ in a]
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def det(mat):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("not square")
+    if n == 0:
+        return 1
+    a = [[int(x) for x in row] for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return 0
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def minor_gcd(mat, k):
+    """gcd of all k x k minors (the k-th determinantal divisor up to sign)."""
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    g = 0
+    for rows in combinations(range(m), k):
+        for cols in combinations(range(n), k):
+            g = gcd(g, det([[mat[i][j] for j in cols] for i in rows]))
+    return g
+
+
+def assert_smith_factors(mat, factors):
+    """factors are a divisibility chain of positive integers, as long as the
+    rank r of mat, whose product is the gcd of the r x r minors of mat."""
+    r = rational_rank(mat)
+    assert len(factors) == r
+    assert all(d > 0 for d in factors)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    assert prod(factors) == minor_gcd(mat, r)
+
+
+def assert_smith_row_transform(mat, factors, u):
+    """u is the row transform of a Smith form of mat with the given factors.
+
+    Checks |det u| = 1, that rows r and beyond of u * mat vanish and that d_i
+    divides row i.  Given that factors are mat's invariant factors (known by
+    construction, or certified by assert_smith_factors), this holds exactly
+    when some unimodular V gives u * mat * V = diag(factors): write
+    u * mat = diag(factors) * C; the gcd of the r x r minors of mat is
+    prod(d_i) times that of C, so C's is 1, C is the top of a unimodular W,
+    and V = W^-1.
+    """
+    assert abs(det(u)) == 1
+    ua = mat_mul(u, mat)
+    r = len(factors)
+    assert not any(x for row in ua[r:] for x in row)
+    for d, row in zip(factors, ua):
+        assert all(x % d == 0 for x in row)
 
 
 def perm_count_of_cycle_type(lam, n):

@@ -1,5 +1,11 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from k3hilb.cli import run
 from k3hilb.hilb_basis import canonical_class, parse_class
@@ -65,8 +71,38 @@ def test_cup_universal_text():
 def test_cokernel_text():
     code, text = invoke("cokernel", "--n", "3", "--map", "sym2", "--check-generators")
     assert code == 0
-    assert "torsion: [3], free rank: 23" in text
-    assert "generator 1^(3): order 3 (expected 3) ok" in text
+    assert text == (
+        "map sym2 at n=3: 276 -> 299\n"
+        "torsion: [3], free rank: 23\n"
+        "generator 1^(3): order 3 (expected 3) ok\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (
+            ("--json", "cokernel", "--n", "3", "--map", "sym2", "--check-generators"),
+            '{"n": 3, "map": "sym2", "domain_dim": 276, "codomain_dim": 299, '
+            '"torsion": ["3"], "free_rank": 23, "generators": [{"name": "1^(3)", '
+            '"expected_order": 3, "order": 3, "ok": true}]}\n',
+        ),
+        (
+            ("cokernel", "--n", "2", "--map", "sym3", "--check-generators"),
+            "map sym3 at n=2: 2300 -> 23\n"
+            "torsion: [2], free rank: 0\n"
+            "generator x^(2): order 2 (expected 2) ok\n",
+        ),
+        (
+            ("--json", "cokernel", "--n", "2", "--map", "sym3", "--check-generators"),
+            '{"n": 2, "map": "sym3", "domain_dim": 2300, "codomain_dim": 23, '
+            '"torsion": ["2"], "free_rank": 0, "generators": [{"name": "x^(2)", '
+            '"expected_order": 2, "order": 2, "ok": true}]}\n',
+        ),
+    ],
+)
+def test_cokernel_generator_checks_stdout_pinned(argv, stdout):
+    assert invoke(*argv) == (0, stdout)
 
 
 def test_cokernel_json():
@@ -109,6 +145,36 @@ def test_usage_error_size_limit():
     assert code == 2
     code, _ = invoke("lattice", "--n", "4")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "jobs", [0, -1, (os.cpu_count() or 1) + 1], ids=["zero", "negative", "above_cpu_count"]
+)
+def test_usage_error_jobs_out_of_range(jobs, monkeypatch):
+    from k3hilb import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started despite an invalid --jobs")
+
+    monkeypatch.setattr(cli, "cup_int", refuse)
+    code, text = invoke("--jobs", str(jobs), "cup", "--n", "2", "([2],[0])", "([2],[0])")
+    assert (code, text) == (2, "")
+
+
+def test_module_entry_point_runs_selftest():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3hilb.cli", "selftest"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 7 and all(line.startswith("PASS  ") for line in lines)
 
 
 def test_usage_error_unknown_flag():

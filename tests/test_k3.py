@@ -1,12 +1,13 @@
 import pytest
 
 from k3hilb import k3, zlinalg
+import oracles
 
 
 def test_e8_tables_are_inverse():
-    prod = zlinalg.mat_mul([list(r) for r in k3.E8], [list(r) for r in k3.INV_E8])
+    prod = oracles.mat_mul([list(r) for r in k3.E8], [list(r) for r in k3.INV_E8])
     assert prod == zlinalg.identity_matrix(8)
-    assert zlinalg.det([list(r) for r in k3.E8]) == 1
+    assert oracles.det([list(r) for r in k3.E8]) == 1
 
 
 def test_bil_paper_entries():
@@ -37,7 +38,7 @@ def test_bil_inv_entries_and_identity():
 def test_bil_symmetric_unimodular_signature():
     g = k3.gram_matrix()
     assert all(g[i][j] == g[j][i] for i in k3.INDICES for j in k3.INDICES)
-    assert abs(zlinalg.det(g)) == 1
+    assert abs(oracles.det(g)) == 1
     h2 = k3.h2_gram_matrix()
     assert zlinalg.signature(h2) == -16
     assert zlinalg.parity(h2) == "even"

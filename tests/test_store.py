@@ -79,6 +79,35 @@ def test_cached_helper_and_configure(tmp_path):
         store.configure(None)
 
 
+def test_cached_without_directory_only_computes():
+    store.configure(None)
+    value = [[1, 2], [3, 4]]
+
+    def refuse(_):
+        raise AssertionError("encode/decode called with caching disabled")
+
+    assert store.cached({"kind": "off"}, lambda: value, encode=refuse, decode=refuse) is value
+
+
+def test_sym_power_matrix_served_from_disk(tmp_path, monkeypatch):
+    from k3hilb import analysis
+
+    fresh = analysis.sym_power_matrix(2, 2)
+    store.configure(str(tmp_path))
+    try:
+        first = analysis.sym_power_matrix(2, 2)  # computes and writes the entry
+
+        def refuse(*args):
+            raise AssertionError("matrix recomputed despite a cache entry")
+
+        monkeypatch.setattr(analysis, "_assemble", refuse)
+        second = analysis.sym_power_matrix(2, 2)
+    finally:
+        store.configure(None)
+    assert len(os.listdir(tmp_path)) == 1
+    assert first == second == fresh
+
+
 def test_cached_results_equal_fresh_results(tmp_path):
     # spot-check: a cached base-change block equals the freshly computed one
     from k3hilb import symfunc

@@ -8,12 +8,10 @@ from k3hilb.zlinalg import (
     CokernelStructure,
     cokernel,
     dedup_columns,
-    det,
     has_full_column_rank,
     identity_matrix,
     image_order,
     is_unimodular_gram,
-    mat_mul,
     parity,
     rank,
     read_matrix,
@@ -22,13 +20,7 @@ from k3hilb.zlinalg import (
     write_matrix,
 )
 import oracles
-
-
-def diag_matrix(factors, m, n):
-    d = [[0] * n for _ in range(m)]
-    for i, f in enumerate(factors):
-        d[i][i] = f
-    return d
+from oracles import det
 
 
 def test_snf_examples():
@@ -63,10 +55,10 @@ def test_snf_transforms_verified_random():
     for _ in range(40):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
         mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-        factors, u, v = smith_normal_form(mat, transforms=True)
-        assert mat_mul(mat_mul(u, mat), v) == diag_matrix(factors, m, n)
-        assert abs(det(u)) == 1
-        assert abs(det(v)) == 1
+        factors, u = smith_normal_form(mat, transforms=True)
+        assert factors == smith_normal_form(mat)
+        oracles.assert_smith_factors(mat, factors)
+        oracles.assert_smith_row_transform(mat, factors, u)
 
 
 @given(
@@ -114,10 +106,9 @@ def test_snf_large_scrambled_hits_reconditioned_path():
     diag = [1] * 70 + [2] * 4 + [6] * 2 + [12]
     mat = scrambled_diagonal(diag, 80, 90, seed=11)
     assert smith_normal_form(mat) == diag
-    factors, u, v = smith_normal_form(mat, transforms=True)
+    factors, u = smith_normal_form(mat, transforms=True)
     assert factors == diag
-    assert mat_mul(mat_mul(u, mat), v) == diag_matrix(factors, 80, 90)
-    assert abs(det(u)) == 1 and abs(det(v)) == 1
+    oracles.assert_smith_row_transform(mat, factors, u)
 
 
 def test_cokernel_examples():
@@ -135,12 +126,27 @@ def test_dedup_columns():
     assert cokernel(mat) == cokernel(dedup_columns(mat))
 
 
+def order_in_cokernel(mat, vec):
+    factors, u = smith_normal_form(dedup_columns(mat), transforms=True)
+    return image_order(factors, u, vec)
+
+
 def test_image_order():
-    assert image_order([[3]], [1]) == 3
-    assert image_order([[3]], [3]) == 1
-    assert image_order([[2, 0], [0, 0]], [1, 0]) == 2
-    assert image_order([[2, 0], [0, 0]], [0, 1]) == 0
-    assert image_order([[6, 0], [0, 4]], [3, 2]) == 2
+    assert order_in_cokernel([[3]], [1]) == 3
+    assert order_in_cokernel([[3]], [3]) == 1
+    assert order_in_cokernel([[2, 0], [0, 0]], [1, 0]) == 2
+    assert order_in_cokernel([[2, 0], [0, 0]], [0, 1]) == 0
+    assert order_in_cokernel([[6, 0], [0, 4]], [3, 2]) == 2
+
+
+def test_image_order_free_part_multiple_of_exponent():
+    # Z/2 + Z: the image (1, 2) has free component 2, a multiple of the
+    # exponent 2, so its torsion component (order 2) is well defined
+    assert order_in_cokernel([[2, 0], [0, 0]], [1, 2]) == 2
+    assert order_in_cokernel([[2, 0], [0, 0]], [1, 3]) == 0
+    # with no torsion any nonzero free component has infinite order
+    assert order_in_cokernel([[1, 0], [0, 0]], [0, 2]) == 0
+    assert order_in_cokernel([[1, 0], [0, 0]], [5, 0]) == 1
 
 
 def test_signature_examples():
