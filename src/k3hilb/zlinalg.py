@@ -2,13 +2,15 @@
 of symmetric forms (signature, parity, unimodularity).
 
 Matrices are plain lists of rows of Python integers, so nothing ever
-overflows.  The Smith reduction picks the remaining entry of least absolute
-value as pivot, which keeps coefficient growth tolerable on the large
-cup-product matrices this library produces.
+overflows.  The Smith reduction first eliminates the +-1 entries of the
+sparse cup-product matrices, cheapest first, and then reduces the small
+residual with pivots of least absolute value.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import gcd, lcm
 
 import numpy as np
@@ -38,158 +40,76 @@ def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def _row_hermite(a, u, row0, col0):
-    """Row echelon reduction over Z of the block a[row0:, col0:], in place.
+def _unit_pass(rows, u):
+    """Eliminate with unit pivots, cheapest first by Markowitz cost, in place.
 
-    Entries above each new pivot are immediately reduced modulo the pivot,
-    which keeps all entries determinant-bounded instead of letting repeated
-    eliminations square them; this is what makes Smith reduction of the large
-    cup-product matrices feasible without modular arithmetic.
+    `rows` are sparse rows {column: value} and `u` their sparse row transforms
+    (or None).  A pivot at a +-1 entry (i, j) of cost (row nonzeros - 1) *
+    (column nonzeros - 1) clears column j from every other row; row i is then
+    emptied, since column operations with column j would clear the rest of it
+    and change no row still in play.  Returns the pivot rows in order; their
+    invariant factors are all 1, and the rows left nonzero are the residual.
+    """
+    cols = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            cols.setdefault(j, set()).add(i)
+    heap = []
+
+    def push(i, j):
+        if rows[i][j] in (1, -1):
+            heappush(heap, ((len(rows[i]) - 1) * (len(cols[j]) - 1), i, j))
+
+    for i, row in enumerate(rows):
+        for j in row:
+            push(i, j)
+    pivots = []
+    while heap:
+        cost, i, j = heappop(heap)
+        prow = rows[i]
+        s = prow.get(j)
+        if s not in (1, -1) or cost != (len(prow) - 1) * (len(cols[j]) - 1):
+            continue  # stale: every change of an entry's cost pushed it anew
+        pivots.append(i)
+        rows[i] = {}
+        for c in prow:
+            cols[c].discard(i)
+        changed = list(cols[j])
+        for k in changed:
+            row = rows[k]
+            f = row[j] * s
+            for c, x in prow.items():
+                y = row.get(c, 0) - f * x
+                if y:
+                    row[c] = y
+                    cols[c].add(k)
+                else:
+                    del row[c]
+                    cols[c].discard(k)
+            if u is not None:
+                uk = u[k]
+                for c, x in u[i].items():
+                    y = uk.get(c, 0) - f * x
+                    if y:
+                        uk[c] = y
+                    else:
+                        del uk[c]
+        for k in changed:
+            for c in rows[k]:
+                push(k, c)
+        for c in prow:
+            for k in cols[c]:
+                push(k, c)
+    return pivots
+
+
+def _residual_smith(a, u):
+    """Invariant factors of a dense matrix by least-absolute-value pivots, in place.
+
+    Row operations are mirrored on the dense transform `u` unless it is None.
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    r = row0
-    prev_rows = []
-    for col in range(col0, n):
-        piv = None
-        for i in range(r, m):
-            if a[i][col] and (piv is None or abs(a[i][col]) < abs(a[piv][col])):
-                piv = i
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-            if u is not None:
-                u[r], u[piv] = u[piv], u[r]
-        while True:
-            p = a[r][col]
-            swapped = False
-            for i in range(r + 1, m):
-                val = a[i][col]
-                if val:
-                    q = val // p
-                    if q:
-                        arow, irow = a[r], a[i]
-                        irow[col:] = [x - q * y for x, y in zip(irow[col:], arow[col:])]
-                        if u is not None:
-                            urow, uirow = u[r], u[i]
-                            u[i] = [x - q * y for x, y in zip(uirow, urow)]
-                    if a[i][col]:
-                        a[r], a[i] = a[i], a[r]
-                        if u is not None:
-                            u[r], u[i] = u[i], u[r]
-                        swapped = True
-                        break
-            if not swapped:
-                break
-        if a[r][col] < 0:
-            a[r] = [-x for x in a[r]]
-            if u is not None:
-                u[r] = [-x for x in u[r]]
-        p = a[r][col]
-        for j in prev_rows:
-            val = a[j][col]
-            q = val // p
-            if q:
-                arow, jrow = a[r], a[j]
-                jrow[col:] = [x - q * y for x, y in zip(jrow[col:], arow[col:])]
-                if u is not None:
-                    urow, ujrow = u[r], u[j]
-                    u[j] = [x - q * y for x, y in zip(ujrow, urow)]
-        prev_rows.append(r)
-        r += 1
-        if r == m:
-            break
-
-
-def _col_hermite(a, row0, col0):
-    """Column echelon reduction of the block a[row0:, col0:], in place."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    r = col0
-    prev_cols = []
-
-    def col_op(dst, src, q):
-        for row in a[row0:]:
-            row[dst] -= q * row[src]
-
-    def col_swap(i, j):
-        for row in a[row0:]:
-            row[i], row[j] = row[j], row[i]
-
-    for rowi in range(row0, m):
-        piv = None
-        arow = a[rowi]
-        for j in range(r, n):
-            if arow[j] and (piv is None or abs(arow[j]) < abs(arow[piv])):
-                piv = j
-        if piv is None:
-            continue
-        if piv != r:
-            col_swap(r, piv)
-        while True:
-            p = arow[r]
-            swapped = False
-            for j in range(r + 1, n):
-                val = arow[j]
-                if val:
-                    q = val // p
-                    if q:
-                        col_op(j, r, q)
-                    if arow[j]:
-                        col_swap(r, j)
-                        swapped = True
-                        break
-            if not swapped:
-                break
-        if arow[r] < 0:
-            for row in a[row0:]:
-                row[r] = -row[r]
-        p = arow[r]
-        for j in prev_cols:
-            q = arow[j] // p
-            if q:
-                col_op(j, r, q)
-        prev_cols.append(r)
-        r += 1
-        if r == n:
-            break
-
-
-_RECONDITION_DIM = 64
-_RECONDITION_BITS = 192
-_RECONDITION_EVERY = 16
-
-
-def _needs_recondition(a, t, m, n):
-    for i in range(t, m):
-        row = a[i]
-        for j in range(t, n):
-            if row[j].bit_length() > _RECONDITION_BITS:
-                return True
-    return False
-
-
-def smith_normal_form(mat, transforms=False):
-    """Invariant factors of an integer matrix, optionally with the row transform.
-
-    Returns the list of positive invariant factors d_1 | d_2 | ... | d_r
-    (r = rank); with transforms=True returns (factors, U) where U is
-    unimodular and U * mat * V is the diagonal Smith form for some unimodular
-    V.  Column operations never touch U, so V is not built: rows r and beyond
-    of U * mat vanish and d_i divides row i, which is all that the order of
-    an image in the cokernel depends on.
-
-    Pivots are the remaining entries of least absolute value.  Large inputs
-    get a Hermite reconditioning pass up front and whenever entries swell,
-    which keeps the arithmetic determinant-bounded.
-    """
-    a = [[int(x) for x in row] for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if any(len(row) != n for row in a):
-        raise ValueError("ragged matrix")
-    u = identity_matrix(m) if transforms else None
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -218,15 +138,8 @@ def smith_normal_form(mat, transforms=False):
             u[i] = [-x for x in u[i]]
 
     limit = min(m, n)
-    recondition = limit >= _RECONDITION_DIM
-    if recondition:
-        _row_hermite(a, u, 0, 0)
-        _col_hermite(a, 0, 0)
     t = 0
     while t < limit:
-        if recondition and t and t % _RECONDITION_EVERY == 0 and _needs_recondition(a, t, m, n):
-            _row_hermite(a, u, t, t)
-            _col_hermite(a, t, t)
         # minimal-absolute-value pivot in the remaining submatrix
         best = None
         for i in range(t, m):
@@ -282,25 +195,59 @@ def smith_normal_form(mat, transforms=False):
             p = a[t][t]
             if p == 1:
                 break
-            offender = None
-            for i in range(t + 1, m):
-                row = a[i]
-                for j in range(t + 1, n):
-                    if row[j] % p:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next((i for i in range(t + 1, m) if any(x % p for x in a[i][t + 1 :])), None)
             if offender is None:
                 break
             add_row(offender, t, 1, t)
 
         t += 1
 
-    factors = [a[i][i] for i in range(limit) if a[i][i]]
-    if transforms:
-        return factors, u
-    return factors
+    return [a[i][i] for i in range(limit) if a[i][i]]
+
+
+def smith_normal_form(mat, transforms=False):
+    """Invariant factors of an integer matrix, optionally with the row transform.
+
+    Returns the list of positive invariant factors d_1 | d_2 | ... | d_r
+    (r = rank); with transforms=True returns (factors, U) where U is
+    unimodular and U * mat * V is the diagonal Smith form for some unimodular
+    V.  Column operations never touch U, so V is not built: rows r and beyond
+    of U * mat vanish and d_i divides row i, which is all that the order of
+    an image in the cokernel depends on.
+
+    A sparse pass first eliminates with +-1 pivots (Dumas, Saunders and
+    Villard, J. Symbolic Comput. 32, 2001); the dense residual it leaves is
+    reduced with pivots of least absolute value.  U is the unit pass's
+    transforms of its pivot rows, then those of the residual rows under the
+    residual loop's transform, then those of the rows the pass zeroed.
+    """
+    m = len(mat)
+    n = len(mat[0]) if m else 0
+    if any(len(row) != n for row in mat):
+        raise ValueError("ragged matrix")
+    rows = [{j: int(x) for j, x in enumerate(row) if x} for row in mat]
+    u = [{i: 1} for i in range(m)] if transforms else None
+    pivots = _unit_pass(rows, u)
+    rest = [i for i, row in enumerate(rows) if row]
+    cols = sorted({j for i in rest for j in rows[i]})
+    residual = [[rows[i].get(j, 0) for j in cols] for i in rest]
+    u2 = identity_matrix(len(rest)) if transforms else None
+    factors = [1] * len(pivots) + _residual_smith(residual, u2)
+    if not transforms:
+        return factors
+
+    def dense(terms):
+        # the dense row sum(f * u[i] for f, i in terms)
+        row = [0] * m
+        for f, i in terms:
+            for k, x in u[i].items():
+                row[k] += f * x
+        return row
+
+    done = set(pivots).union(rest)
+    zeroed = [[(1, i)] for i in range(m) if i not in done]
+    combined = [[(f, i) for f, i in zip(w, rest) if f] for w in u2]
+    return factors, [dense(t) for t in [[(1, i)] for i in pivots] + combined + zeroed]
 
 
 @dataclass(frozen=True)
@@ -450,28 +397,6 @@ def _rank_mod_p(mat, p):
     return r
 
 
-def _rank_exact(mat):
-    a = [[Fraction(x) for x in row] for row in mat]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        d = a[r][c]
-        a[r] = [x / d for x in a[r]]
-        for i in range(r + 1, rows):
-            f = a[i][c]
-            if f:
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
 _CERT_PRIMES = (1_000_003, 998_244_353)
 
 
@@ -483,7 +408,7 @@ def rank(mat):
     full = min(len(mat), len(mat[0]))
     if any(_rank_mod_p(mat, p) == full for p in _CERT_PRIMES):
         return full
-    return _rank_exact(mat)
+    return len(smith_normal_form(mat))
 
 
 def has_full_column_rank(mat):
@@ -500,6 +425,9 @@ def is_unimodular_gram(g):
     return len(factors) == n and all(d == 1 for d in factors)
 
 
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
 def write_matrix(mat, path):
     """Plain text export: a `rows cols` header line, then one row per line."""
     m = len(mat)
@@ -510,14 +438,22 @@ def write_matrix(mat, path):
             fh.write(" ".join(str(x) for x in row) + "\n")
 
 
+def _parse_int(token):
+    if not _INT_TOKEN.fullmatch(token):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def read_matrix(path):
+    """Read the format of `write_matrix`; malformed input raises ValueError."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise ValueError("expected 'rows cols' header")
-        m, n = int(header[0]), int(header[1])
-        values = fh.read().split()
+        m, n = (_parse_int(x) for x in header)
+        if m < 0 or n < 0:
+            raise ValueError(f"negative dimension in header: {' '.join(header)!r}")
+        values = [_parse_int(x) for x in fh.read().split()]
     if len(values) != m * n:
         raise ValueError(f"expected {m * n} entries, found {len(values)}")
-    it = iter(values)
-    return [[int(next(it)) for _ in range(n)] for _ in range(m)]
+    return [values[i * n : (i + 1) * n] for i in range(m)]

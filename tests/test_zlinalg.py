@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -101,13 +102,49 @@ def scrambled_diagonal(diag, m, n, seed, ops=260):
     return a
 
 
-def test_snf_large_scrambled_hits_reconditioned_path():
-    # big enough to trigger the Hermite reconditioning pass
+def test_snf_large_scrambled_unit_pass_and_residual():
+    # the unit pass takes most pivots; the non-unit factors are left to the
+    # residual loop
     diag = [1] * 70 + [2] * 4 + [6] * 2 + [12]
     mat = scrambled_diagonal(diag, 80, 90, seed=11)
     assert smith_normal_form(mat) == diag
     factors, u = smith_normal_form(mat, transforms=True)
     assert factors == diag
+    oracles.assert_smith_row_transform(mat, factors, u)
+
+
+def test_snf_scrambled_few_units_residual_does_the_work():
+    # only three factors are units, so the unit pass takes at most three
+    # pivots and the residual loop reduces the rest of the 72 x 70 matrix
+    diag = [1] * 3 + [2] * 60 + [6] * 3 + [30]
+    mat = scrambled_diagonal(diag, 72, 70, seed=17)
+    assert smith_normal_form(mat) == diag
+    factors, u = smith_normal_form(mat, transforms=True)
+    assert factors == diag
+    oracles.assert_smith_row_transform(mat, factors, u)
+
+
+# mostly zeros, some units, some larger entries: the shape of the
+# cup-product matrices, where the unit pass does most of the elimination
+_SPARSE_ENTRY = st.one_of(
+    st.sampled_from([0, 0, 0, 0, 0, 1, -1]),
+    st.integers(min_value=-30, max_value=30),
+)
+_SPARSE_MATRIX = st.tuples(st.integers(1, 10), st.integers(1, 10)).flatmap(
+    lambda shape: st.lists(
+        st.lists(_SPARSE_ENTRY, min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0],
+        max_size=shape[0],
+    )
+)
+
+
+@given(_SPARSE_MATRIX)
+@settings(max_examples=60, deadline=None)
+def test_snf_random_sparse_matrices(mat):
+    factors, u = smith_normal_form(mat, transforms=True)
+    assert factors == smith_normal_form(mat)
+    oracles.assert_smith_factors(mat, factors)
     oracles.assert_smith_row_transform(mat, factors, u)
 
 
@@ -214,3 +251,23 @@ def test_matrix_io_round_trip(tmp_path):
     bad.write_text("2 2\n1 2 3\n")
     with pytest.raises(ValueError):
         read_matrix(bad)
+
+
+@pytest.mark.parametrize(
+    "text,token",
+    [
+        # a negative header must not read as an empty matrix
+        pytest.param("-1 -1\n5\n", "-1 -1", id="negative"),
+        pytest.param("2 -3\n", "2 -3", id="negative-cols"),
+        pytest.param("2 x\n1 2\n", "'x'", id="header-word"),
+        pytest.param("1.0 2\n1 2\n", "'1.0'", id="header-float"),
+        pytest.param("1 2\n1 2.5\n", "'2.5'", id="body-float"),
+        pytest.param("1 2\n1 1_000\n", "'1_000'", id="underscore"),
+        pytest.param("1 1\n0x10\n", "'0x10'", id="hex"),
+    ],
+)
+def test_read_matrix_rejects_malformed(tmp_path, text, token):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape(token)):
+        read_matrix(path)
