@@ -12,14 +12,17 @@ from itertools import combinations_with_replacement, product
 from math import gcd
 
 from . import k3, store, zlinalg
-from .hilb_basis import an_weight, canonical_class, deg, hilb_base, pad_class
-from .qin_wang import cup_int, cup_int_list
+from .hilb_basis import an_sort_key, an_weight, canonical_class, deg, hilb_base, pad_class
+from .lehn_sorger import mult_an
+from .qin_wang import cup_int, cup_int_list, int_to_crea
 
 __all__ = [
     "sym_power_matrix",
     "mixed_matrix",
     "integrate",
+    "creation_gram",
     "middle_gram_matrix",
+    "block_signature",
     "middle_lattice",
     "bns_form_signature",
     "QuotientReport",
@@ -112,33 +115,102 @@ def integrate(n, vec):
     return vec.get(top, 0)
 
 
-def _gram_row(task):
+def _creation_gram_row(task):
+    """Row i of the creation-basis pairing, on and right of the diagonal.
+
+    The pairing of q_lambda(alpha)|0> with q_mu(beta)|0> vanishes unless
+    mu = lambda and a part-preserving matching pairs the labels with nonzero
+    K3 pairings, since q_k(a) is adjoint to q_-k(a) up to sign (Nakajima,
+    Ann. Math. 145, 1997; Lehn and Sorger, Invent. Math. 152, 2003).  So only
+    the symbols (lambda, beta) with every B(alpha_i, beta_i) != 0 are
+    multiplied.
+    """
     i, n = task
-    basis = hilb_base(n, 2 * n)
-    a = basis[i]
+    p = hilb_base(n, 2 * n)[i]
+    parts, labels = p
     top = top_class(n)
-    return [cup_int(a, basis[j], n).get(top, 0) for j in range(i, len(basis))]
+    partners = [[m for m in k3.INDICES if k3.bil(l, m)] for l in labels]
+    support = {canonical_class(parts, beta) for beta in product(*partners)}
+    row = {q: mult_an(p, q, n).get(top, 0) for q in support if an_sort_key(q) >= an_sort_key(p)}
+    return {q: v for q, v in row.items() if v}
 
 
-def _gram(n, jobs):
-    m = len(hilb_base(n, 2 * n))
-    half = _pool_map(_gram_row, [(i, n) for i in range(m)], jobs)
-    g = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for off, val in enumerate(half[i]):
-            g[i][i + off] = val
-            g[i + off][i] = val
+def creation_gram(n, jobs=1):
+    """The middle pairing in the creation basis, as symmetric sparse rows.
+
+    Row and column indices follow `hilb_base(n, 2n)`; row i is {j: value}
+    over the nonzero entries.
+    """
+    basis = hilb_base(n, 2 * n)
+    index = {sym: i for i, sym in enumerate(basis)}
+    half = _pool_map(_creation_gram_row, [(i, n) for i in range(len(basis))], jobs)
+    rows = [{} for _ in basis]
+    for i, row in enumerate(half):
+        for q, v in row.items():
+            j = index[q]
+            rows[i][j] = rows[j][i] = v
+    return rows
+
+
+def _integral_gram(gc, n):
+    """G_int = C^T G_crea C, C the creation coefficients of the integral basis."""
+    basis = hilb_base(n, 2 * n)
+    index = {sym: i for i, sym in enumerate(basis)}
+    cols = [[(index[p], c) for p, c in int_to_crea(a, n).items()] for a in basis]
+    crows = [[] for _ in basis]
+    for a, col in enumerate(cols):
+        for p, c in col:
+            crows[p].append((a, c))
+    g = []
+    for b, col in enumerate(cols):
+        # G_int is symmetric, so column b is row b
+        h = {}
+        for q, c in col:
+            for p, v in gc[q].items():
+                h[p] = h.get(p, 0) + c * v
+        acc = {}
+        for p, x in h.items():
+            for a, c in crows[p]:
+                acc[a] = acc.get(a, 0) + c * x
+        row = [0] * len(basis)
+        for a, v in acc.items():
+            if v.denominator != 1:
+                raise ArithmeticError(f"non-integral pairing of {basis[a]} and {basis[b]}: {v}")
+            row[a] = int(v)
+        g.append(row)
     return g
 
 
-def middle_gram_matrix(n, jobs=1):
-    """Gram matrix of the integral pairing on the degree-2n basis of Hilb^n."""
+def middle_gram_matrix(n, jobs=1, gc=None):
+    """Gram matrix of the integral pairing on the degree-2n basis of Hilb^n.
+
+    Built as C^T G_crea C from the creation-basis pairing `gc` (computed here
+    unless given), so no integral product is ever taken.
+    """
     return store.cached(
         {"kind": "middle_gram", "n": n},
-        lambda: _gram(n, jobs),
+        lambda: _integral_gram(creation_gram(n, jobs) if gc is None else gc, n),
         encode=store.encode_int_matrix,
         decode=store.decode_int_matrix,
     )
+
+
+def block_signature(gc):
+    """Signature of a sparse symmetric form, summed over its connected blocks."""
+    seen = set()
+    sig = 0
+    for s in range(len(gc)):
+        if s in seen:
+            continue
+        seen.add(s)
+        block = [s]
+        for i in block:
+            for j in gc[i]:
+                if j not in seen:
+                    seen.add(j)
+                    block.append(j)
+        sig += zlinalg.signature([[gc[i].get(j, 0) for j in block] for i in block])
+    return sig
 
 
 @dataclass(frozen=True)
@@ -151,14 +223,20 @@ class LatticeReport:
 
 
 def middle_lattice(n, jobs=1, check_unimodular=False):
-    """Rank, parity and signature of the middle-cohomology lattice of Hilb^n."""
-    g = middle_gram_matrix(n, jobs=jobs)
+    """Rank, parity and signature of the middle-cohomology lattice of Hilb^n.
+
+    The signature comes from the blocks of the creation-basis pairing: the
+    integral Gram matrix is congruent to it over Q, so by Sylvester's law of
+    inertia the two agree.  Parity and unimodularity need the integral one.
+    """
+    gc = creation_gram(n, jobs=jobs)
+    g = middle_gram_matrix(n, jobs=jobs, gc=gc)
     uni = zlinalg.is_unimodular_gram(g) if check_unimodular else None
     return LatticeReport(
         n=n,
         rank=len(g),
         parity=zlinalg.parity(g),
-        signature=zlinalg.signature(g),
+        signature=block_signature(gc),
         unimodular=uni,
     )
 

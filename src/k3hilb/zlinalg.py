@@ -37,7 +37,9 @@ def identity_matrix(k):
 
 
 def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    # class vectors are sparse against a dense square transform
+    support = [(j, x) for j, x in enumerate(v) if x]
+    return [sum(row[j] * x for j, x in support) for row in a]
 
 
 def _unit_pass(rows, u):

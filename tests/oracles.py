@@ -158,6 +158,26 @@ def naive_mult_an(a, b, n):
     return {s: v for s, v in out.items() if v}
 
 
+def direct_middle_gram(n):
+    """The middle Gram matrix of Hilb^n from every pairwise integral product.
+
+    One `cup_int` per pair of degree-2n basis symbols, read off at the top
+    class: the all-pairs construction, with no use of the creation-basis
+    pairing or its support.
+    """
+    from k3hilb.analysis import integrate
+    from k3hilb.hilb_basis import hilb_base
+    from k3hilb.qin_wang import cup_int
+
+    basis = hilb_base(n, 2 * n)
+    m = len(basis)
+    g = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            g[i][j] = g[j][i] = integrate(n, cup_int(basis[i], basis[j], n))
+    return g
+
+
 # ---------------------------------------------------------------------------
 # exact helpers for linear-algebra tests
 

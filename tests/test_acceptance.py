@@ -2,9 +2,9 @@
 
 Each test prints one PASS/FAIL line (visible with `pytest -s` or on failure).
 The stretch-tier criteria carry the `stretch` marker and are excluded from
-default runs; select them with `-m stretch`.  The sym3 cokernels at n = 3, 4
-and the h2xh4 cokernel at n = 3 keep their `stretch` names but run in the
-default tier, now that each takes seconds.
+default runs; select them with `-m stretch`.  The sym3 cokernels at n = 3, 4,
+the h2xh4 cokernel at n = 3 and the middle lattice at n = 3 keep their
+`stretch` names but run in the default tier, now that each takes seconds.
 """
 
 import random
@@ -153,7 +153,6 @@ def test_criterion_7_middle_lattice_hilb2():
         assert report.unimodular is True
 
 
-@pytest.mark.stretch
 def test_criterion_7_middle_lattice_hilb3_stretch():
     with _Gate("7 middle lattice n=3 (stretch)"):
         report = analysis.middle_lattice(3)

@@ -1,6 +1,9 @@
+import random
+from itertools import permutations
+
 import pytest
 
-from k3hilb import analysis, zlinalg
+from k3hilb import analysis, k3, zlinalg
 from k3hilb.analysis import (
     bns_form_signature,
     class_K,
@@ -17,7 +20,9 @@ from k3hilb.analysis import (
     verify_quotient_generator,
 )
 from k3hilb.hilb_basis import canonical_class, hilb_base
+from k3hilb.lehn_sorger import mult_an
 from k3hilb.qin_wang import cup_int
+import oracles
 
 c = canonical_class
 
@@ -118,7 +123,62 @@ def test_middle_lattice_hilb2():
 
 
 def test_middle_gram_parallel_matches_serial():
+    assert analysis.creation_gram(2, jobs=2) == analysis.creation_gram(2)
     assert analysis.middle_gram_matrix(2, jobs=2) == analysis.middle_gram_matrix(2)
+
+
+def test_middle_gram_equals_all_pairs_products_hilb2():
+    g = analysis.middle_gram_matrix(2)
+    assert g == oracles.direct_middle_gram(2)
+    # Sylvester: the creation pairing is congruent to g over Q
+    assert analysis.block_signature(analysis.creation_gram(2)) == zlinalg.signature(g) == 156
+
+
+def test_middle_gram_rejects_non_integral_pairing():
+    gc = analysis.creation_gram(2)
+    k = hilb_base(2, 4).index(c((2,), (1,)))
+    gc[k][k] = gc[k].get(k, 0) + 1
+    with pytest.raises(ArithmeticError):
+        analysis.middle_gram_matrix(2, gc=gc)
+
+
+def _on_nakajima_support(p, q):
+    """Same partition, and a part-preserving matching of nonzero label pairings."""
+    if p[0] != q[0]:
+        return False
+    return any(
+        all(p[0][i] == q[0][j] and k3.bil(p[1][i], q[1][j]) for i, j in enumerate(perm))
+        for perm in permutations(range(len(p[0])))
+    )
+
+
+def test_middle_gram_hilb3_sampled_entries_match_products():
+    basis = hilb_base(3, 6)
+    g = analysis.middle_gram_matrix(3)
+    nonzero = [(i, j) for i, row in enumerate(g) for j, x in enumerate(row) if x]
+    rng = random.Random(20261018)
+    pairs = rng.sample(nonzero, 200)
+    pairs += [(rng.randrange(len(basis)), rng.randrange(len(basis))) for _ in range(200)]
+    for i, j in pairs:
+        assert g[i][j] == integrate(3, cup_int(basis[i], basis[j], 3)), (basis[i], basis[j])
+
+
+def test_creation_pairing_vanishes_off_support_hilb3():
+    basis = hilb_base(3, 6)
+    top = top_class(3)
+    rng = random.Random(20261019)
+    by_parts = {}
+    for sym in basis:
+        by_parts.setdefault(sym[0], []).append(sym)
+    checked = 0
+    while checked < 400:
+        p = rng.choice(basis)
+        # half the pairs share p's partition, where only the labels decide
+        q = rng.choice(by_parts[p[0]] if checked % 2 else basis)
+        if _on_nakajima_support(p, q):
+            continue
+        assert mult_an(p, q, 3).get(top, 0) == 0, (p, q)
+        checked += 1
 
 
 def test_gram_symmetric():
