@@ -96,17 +96,6 @@ def h2_gram_matrix():
     return [[bil(i, j) for j in H2_INDICES] for i in H2_INDICES]
 
 
-def cup_coeff(k, i, j):
-    """Coefficient of basis class k in the cup product of classes i and j."""
-    if i == UNIT:
-        return 1 if k == j else 0
-    if j == UNIT:
-        return 1 if k == i else 0
-    if i == POINT or j == POINT:
-        return 0
-    return bil(i, j) if k == POINT else 0
-
-
 def cup_list(factors):
     """Cup product of a list of basis classes, as a sparse {index: coeff} map.
 
@@ -127,34 +116,24 @@ def cup_list(factors):
 
 
 @cache
-def _cup_nonzeros():
-    return tuple(
-        (k, i, j, cup_coeff(k, i, j))
-        for k in INDICES
-        for i in INDICES
-        for j in INDICES
-        if cup_coeff(k, i, j)
-    )
-
-
-@cache
 def _coprod2(k):
-    """Sparse coefficients of the comultiplication of basis class k."""
-    acc = {}
-    for kk, ii, jj, c in _cup_nonzeros():
-        w = c * bil(kk, k)
-        if not w:
-            continue
-        for i in INDICES:
-            bi = bil_inv(i, ii)
-            if not bi:
-                continue
-            for j in INDICES:
-                bj = bil_inv(j, jj)
-                if not bj:
-                    continue
-                key = (i, j)
-                acc[key] = acc.get(key, 0) - bi * bj * w
+    """Sparse coefficients of the comultiplication of basis class k.
+
+    The adjoint of the cup product under the sign twist, in closed form:
+    coprod(x) = -x(x)x, coprod(a) = -(a(x)x + x(x)a) for a in H^2, and
+    coprod(1) = -(1(x)x + x(x)1 + sum of B^-1_ij e_i(x)e_j over H^2).
+    """
+    if k == POINT:
+        acc = {(POINT, POINT): -1}
+    elif k == UNIT:
+        acc = {(UNIT, POINT): -1, (POINT, UNIT): -1}
+        for i in H2_INDICES:
+            for j in H2_INDICES:
+                acc[i, j] = -bil_inv(i, j)
+    elif k in H2_INDICES:
+        acc = {(k, POINT): -1, (POINT, k): -1}
+    else:
+        raise ValueError(f"not a K3 index: {k}")
     return tuple((key, v) for key, v in sorted(acc.items()) if v)
 
 

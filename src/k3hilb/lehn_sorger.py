@@ -11,15 +11,17 @@ pi*tau-cycles with the iterated adjoint comultiplication.
 Symbols (parts, labels) embed by symmetrization: a symbol maps to the sum of
 all conjugates of its model term.  to_sn returns the distinct conjugates and
 the integer multiplicity with which each occurs; mult_an combines both to
-multiply symbols, staying in exact integers.
+multiply symbols, staying in exact integers.  It multiplies at the ambient
+min(n, s(a) + s(b)), s the weight without the (1, unit) padding, rescales to
+n, and reads off classes directly, never forming canonical terms.
 """
 
 from functools import cache, lru_cache
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, perm
 
 from . import k3
-from .hilb_basis import an_z, canonical_class, pad_class
+from .hilb_basis import an_z, canonical_class, pad_class, reduce_class
 from .partitions import compose, cycles_of, perm_from_cycles
 
 __all__ = [
@@ -106,9 +108,14 @@ def graph_defect(p, t, orbit):
     return _defect(len(members), cycles_inside(p), cycles_inside(t), cycles_inside(pt))
 
 
-@lru_cache(maxsize=262144)
-def _mult_sn_items(t1, t2):
-    """Product of two canonical terms, as sorted ((term, coeff), ...) items."""
+def _orbit_factors(t1, t2):
+    """The product of two canonical terms, orbit by orbit of <p, t>.
+
+    One list of (pieces, coeff) options per common orbit: the labels inside
+    the orbit are cupped, multiplied by e^g for its graph defect g and
+    redistributed onto the p*t-cycles inside it.  None when an orbit
+    contributes nothing.
+    """
     n = sum(len(c) for c, _ in t1)
     if sum(len(c) for c, _ in t2) != n:
         raise ValueError("terms live on different point counts")
@@ -135,20 +142,31 @@ def _mult_sn_items(t1, t2):
             for out_labels, w in k3._coprod_items(len(target), r):
                 pieces.append((tuple(zip(target, out_labels)), v * w))
         if not pieces:
-            return ()
+            return None
         factors.append(pieces)
+    return factors
 
-    acc = {}
 
-    def expand(i, pieces, coeff):
+def _expand(factors, key_of, acc):
+    """Add the product of the factors to acc, keyed by key_of(pieces)."""
+
+    def rec(i, pieces, coeff):
         if i == len(factors):
-            term = canonical_term(pieces)
-            acc[term] = acc.get(term, 0) + coeff
+            key = key_of(pieces)
+            acc[key] = acc.get(key, 0) + coeff
             return
         for more, v in factors[i]:
-            expand(i + 1, pieces + list(more), coeff * v)
+            rec(i + 1, pieces + more, coeff * v)
 
-    expand(0, [], 1)
+    if factors is not None:
+        rec(0, (), 1)
+
+
+@lru_cache(maxsize=262144)
+def _mult_sn_items(t1, t2):
+    """Product of two canonical terms, as sorted ((term, coeff), ...) items."""
+    acc = {}
+    _expand(_orbit_factors(t1, t2), canonical_term, acc)
     return tuple((term, v) for term, v in sorted(acc.items()) if v)
 
 
@@ -242,32 +260,66 @@ def to_sn(sym, n):
     return terms, mult
 
 
-def _class_of_term(term):
-    return canonical_class(
-        tuple(len(cyc) for cyc, _ in term), tuple(lab for _, lab in term)
-    )
+def _is_padding(cyc, label):
+    return len(cyc) == 1 and label == k3.UNIT
+
+
+def _reduced_key(pieces):
+    """Sorted (length, label) pairs of a term's cycles, without (1, unit) ones."""
+    key = [(len(c), lab) for c, lab in pieces if not _is_padding(c, lab)]
+    key.sort(reverse=True)
+    return tuple(key)
 
 
 @lru_cache(maxsize=262144)
 def _mult_an_cached(a, b, n):
-    terms, mult = to_sn(a, n)
-    pb = pad_class(b, n)
-    b_model = model_term(*pb)
-    acc = {}
+    """The product of reduced symbols at n, a symmetrized, computed at m <= n.
+
+    Let O be the (1, unit) points of b's model; Sym(O) fixes the model, so a
+    conjugate of a whose cycles use k points of O lies in an orbit of size
+    (n - s(b))_k / h at ambient n and (m - s(b))_k / h at m, with the same
+    product up to unit fixed points.  So the class sums at m are collected
+    per k and scaled by the ratio of the falling factorials, then by a's
+    stabilizer order at n, as in the full symmetrization.
+    """
+    sa, sb = sum(a[0]), sum(b[0])
+    m = min(n, sa + sb)
+    terms, _ = to_sn(a, m)
+    b_model = model_term(*pad_class(b, m))
+    per_k = {}
     for t in terms:
-        for sn_term, v in _mult_sn_items(t, b_model):
-            key = _class_of_term(sn_term)
-            acc[key] = acc.get(key, 0) + v
-    return tuple((sym, mult * v) for sym, v in sorted(acc.items()) if v)
+        k = sum(1 for c, lab in t if not _is_padding(c, lab) for v in c if v >= sb)
+        _expand(_orbit_factors(t, b_model), _reduced_key, per_k.setdefault(k, {}))
+    mult = an_z(pad_class(a, n))
+    acc = {}
+    for k, sums in per_k.items():
+        num, den = perm(n - sb, k), perm(m - sb, k)
+        for key, v in sums.items():
+            q, rem = divmod(v * num, den)
+            if rem:
+                raise ArithmeticError(f"orbit sum {v} at m={m} does not rescale to n={n}")
+            if q:
+                acc[key] = acc.get(key, 0) + q
+    out = []
+    for key, v in acc.items():
+        sym = (tuple(length for length, _ in key), tuple(lab for _, lab in key))
+        out.append((pad_class(sym, n), mult * v))
+    return tuple(sorted(out))
 
 
 def mult_an(a, b, n):
     """Product of two creation symbols at ambient n, as {symbol: int coeff}.
 
-    Symbols heavier than n are the zero class, so the product is empty.
+    Symbols heavier than n are the zero class, so the product is empty.  The
+    side with the larger stabilizer at the reduced ambient is symmetrized,
+    so (a, b) and (b, a) share one cache entry.
     """
-    a = canonical_class(*a)
-    b = canonical_class(*b)
-    if sum(a[0]) > n or sum(b[0]) > n:
+    a = reduce_class(canonical_class(*a))
+    b = reduce_class(canonical_class(*b))
+    sa, sb = sum(a[0]), sum(b[0])
+    if sa > n or sb > n:
         return {}
+    m = min(n, sa + sb)
+    if (an_z(pad_class(a, m)), a) < (an_z(pad_class(b, m)), b):
+        a, b = b, a
     return dict(_mult_an_cached(a, b, n))

@@ -19,7 +19,6 @@ from typing import NamedTuple
 
 from .hilb_basis import (
     an_sort_key,
-    an_z,
     canonical_class,
     deg,
     pad_class,
@@ -136,19 +135,12 @@ def crea_to_int(sym, n):
     return dict(_crea_to_int_items(padded))
 
 
-def _mult_oriented(p, q, n):
-    # symmetrizing the side with the larger stabilizer means fewer conjugates
-    if an_z(pad_class(p, n)) >= an_z(pad_class(q, n)):
-        return mult_an(p, q, n)
-    return mult_an(q, p, n)
-
-
 def _crea_product(acc, items, n):
     out = {}
     for p, va in acc.items():
         for q, vb in items:
             w = va * vb
-            for e, z in _mult_oriented(p, q, n).items():
+            for e, z in mult_an(p, q, n).items():
                 out[e] = out.get(e, Fraction(0)) + w * z
     return {e: v for e, v in out.items() if v}
 

@@ -337,12 +337,13 @@ def signature(g):
             sig += 1 if d > 0 else -1
             rest = [i for i in active if i != k]
             ak = a[k]
-            for i in rest:
+            # the form stays symmetric, so column k is supported where row k is
+            nz = [j for j in rest if ak[j]]
+            for i in nz:
                 f = a[i][k] / d
-                if f:
-                    ai = a[i]
-                    for j in rest:
-                        ai[j] -= f * ak[j]
+                ai = a[i]
+                for j in nz:
+                    ai[j] -= f * ak[j]
             active = rest
         else:
             k = active[0]
@@ -352,13 +353,13 @@ def signature(g):
             c = a[k][l]
             rest = [i for i in active if i != k and i != l]
             ak, al = a[k], a[l]
-            for i in rest:
+            nz = [j for j in rest if ak[j] or al[j]]
+            for i in nz:
                 x = a[i][l] / c
                 y = a[i][k] / c
-                if x or y:
-                    ai = a[i]
-                    for j in rest:
-                        ai[j] -= x * ak[j] + y * al[j]
+                ai = a[i]
+                for j in nz:
+                    ai[j] -= x * ak[j] + y * al[j]
             active = rest
     return sig
 

@@ -4,7 +4,8 @@ Everything here is deliberately implemented from first principles, without
 calling into the code paths under test: partition counts from the pentagonal
 recurrence, base-change coefficients from brute polynomial expansion, basis
 dimensions from a truncated two-variable product series, and symbol products
-from the fully naive double symmetrization.
+from the fully naive double symmetrization or from all conjugates at the full
+ambient.
 """
 
 from fractions import Fraction
@@ -156,6 +157,28 @@ def naive_mult_an(a, b, n):
         if coeff:
             out[sym] = coeff // z
     return {s: v for s, v in out.items() if v}
+
+
+def full_ambient_mult_an(a, b, n):
+    """Symbol product on all n points: every conjugate of a's model term at
+    ambient n is multiplied by b's model term with `mult_sn`, each product
+    term is read off as a class, and the sum is scaled by a's stabilizer
+    order.  No reduced ambient, no choice of the symmetrized side.
+    """
+    from k3hilb.hilb_basis import canonical_class, pad_class
+    from k3hilb.lehn_sorger import model_term, mult_sn, to_sn
+
+    pa, pb = pad_class(canonical_class(*a), n), pad_class(canonical_class(*b), n)
+    if pa is None or pb is None:
+        return {}
+    terms, mult = to_sn(pa, n)
+    b_model = model_term(*pb)
+    acc = {}
+    for t in terms:
+        for term, v in mult_sn(t, b_model).items():
+            sym = canonical_class(tuple(len(c) for c, _ in term), tuple(lab for _, lab in term))
+            acc[sym] = acc.get(sym, 0) + mult * v
+    return {s: v for s, v in acc.items() if v}
 
 
 def direct_middle_gram(n):

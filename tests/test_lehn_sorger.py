@@ -3,7 +3,8 @@ from math import factorial
 
 import pytest
 
-from k3hilb.hilb_basis import an_z, canonical_class, hilb_base, pad_class
+from k3hilb import qin_wang
+from k3hilb.hilb_basis import an_z, canonical_class, hilb_base, pad_class, reduce_class
 from k3hilb.lehn_sorger import (
     canonical_term,
     common_orbits,
@@ -14,6 +15,7 @@ from k3hilb.lehn_sorger import (
     to_sn,
 )
 from k3hilb.partitions import identity_perm, perm_from_cycles
+from k3hilb.qin_wang import cup_int
 import oracles
 
 
@@ -196,3 +198,58 @@ def test_mult_an_overweight_is_zero():
     heavy = canonical_class((3,), (0,))
     light = canonical_class((1,), (1,))
     assert mult_an(heavy, light, 2) == {}
+
+
+def _random_reduced(rng, weight):
+    """A random symbol of the given weight without (1, unit) pairs."""
+    parts = []
+    while sum(parts) < weight:
+        parts.append(rng.randint(1, min(3, weight - sum(parts))))
+    labels = [rng.choice((0, 0, 1, 2, 7, 23) if p > 1 else (1, 2, 7, 8, 23)) for p in parts]
+    return canonical_class(parts, labels)
+
+
+def _weight(sym):
+    return sum(reduce_class(sym)[0])
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_mult_an_matches_full_ambient_oracle(n):
+    # seeded sweep: pairs whose reduced weights fit in fewer than n points
+    # (the product runs at m < n and is rescaled), and pairs that overlap,
+    # n - s(b) < s(a), where falling factorials (n - s(b))_k vanish
+    rng = random.Random(1000 + n)
+    small = [(sa, sb) for sa in range(1, n) for sb in range(1, n - sa)]
+    overlap = [(sa, sb) for sa in range(2, n + 1) for sb in range(n - sa + 1, n + 1) if sa + sb <= n + 3]
+    pairs = []
+    for shapes in (small, overlap):
+        for sa, sb in rng.sample(shapes, min(5, len(shapes))):
+            pairs.append((_random_reduced(rng, sa), _random_reduced(rng, sb)))
+    assert any(_weight(a) + _weight(b) < n for a, b in pairs)
+    assert any(_weight(a) + _weight(b) > n for a, b in pairs)
+    for a, b in pairs:
+        expected = oracles.full_ambient_mult_an(a, b, n)
+        assert mult_an(a, b, n) == expected
+        assert mult_an(b, a, n) == expected
+        assert mult_an(pad_class(a, n), b, n) == expected
+
+
+def test_cup_int_hilb8_matches_full_ambient_products(monkeypatch):
+    # integral products at n = 8 with every creation product taken on all
+    # eight points by the oracle
+    rng = random.Random(8)
+
+    def pick(d, cycles):
+        return rng.choice([s for s in hilb_base(8, d) if (s[0][0] > 1) == cycles])
+
+    pairs = [
+        (pick(2, False), pick(2, True)),
+        (pick(4, True), pick(4, False)),
+        (pick(4, True), pick(6, True)),
+        (pick(6, False), pick(6, False)),
+        (pick(2, False), pick(8, True)),
+    ]
+    fast = [cup_int(a, b, 8) for a, b in pairs]
+    monkeypatch.setattr(qin_wang, "mult_an", oracles.full_ambient_mult_an)
+    assert [cup_int(a, b, 8) for a, b in pairs] == fast
+    assert all(fast)

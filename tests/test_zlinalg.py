@@ -2,7 +2,8 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
 
 from k3hilb import zlinalg
 from k3hilb.zlinalg import (
@@ -212,6 +213,47 @@ def test_signature_random_properties():
         assert (s - n) % 2 == 0
         checked += 1
     assert checked > 20
+
+
+@st.composite
+def _sparse_forms(draw):
+    """Sparse nondegenerate symmetric integer matrices; with a zero diagonal
+    the first elimination step is the hyperbolic one."""
+    n = draw(st.integers(1, 8))
+    zero_diagonal = draw(st.booleans())
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1 if zero_diagonal else i, n):
+            g[i][j] = g[j][i] = draw(st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3]))
+    assume(det(g) != 0)
+    return g
+
+
+def _unimodular(rng, n):
+    """A random product of elementary integer column moves."""
+    p = identity_matrix(n)
+    for _ in range(3 * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i == j:
+            p = [[-x if k == i else x for k, x in enumerate(row)] for row in p]
+        else:
+            c = rng.choice((-2, -1, 1, 2))
+            p = [[x + c * row[j] if k == i else x for k, x in enumerate(row)] for row in p]
+    return p
+
+
+@given(_sparse_forms(), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_signature_sparse_forms(g, seed):
+    # |entries| <= 3 and n <= 8, so a nondegenerate form has no eigenvalue
+    # below |det| / 24^7 > 2e-10, far above the float error
+    eig = np.linalg.eigvalsh(np.array(g, dtype=float))
+    assert all(abs(x) > 1e-11 for x in eig)
+    s = signature(g)
+    assert s == sum(1 for x in eig if x > 0) - sum(1 for x in eig if x < 0)
+    p = _unimodular(random.Random(seed), len(g))
+    pt = [list(col) for col in zip(*p)]
+    assert signature(oracles.mat_mul(pt, oracles.mat_mul(g, p))) == s
 
 
 def test_parity():
