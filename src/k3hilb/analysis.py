@@ -8,18 +8,20 @@ and lattice invariants come out of :mod:`k3hilb.zlinalg`.
 
 import multiprocessing
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement, product
-from math import gcd
+from functools import cache
+from itertools import combinations_with_replacement, groupby, product
+from math import factorial, gcd, prod
+from operator import itemgetter
 
 from . import k3, store, zlinalg
-from .hilb_basis import an_sort_key, an_weight, canonical_class, deg, hilb_base, pad_class
-from .lehn_sorger import mult_an
+from .hilb_basis import an_weight, canonical_class, deg, hilb_base, pad_class
 from .qin_wang import cup_int, cup_int_list, int_to_crea
 
 __all__ = [
     "sym_power_matrix",
     "mixed_matrix",
     "integrate",
+    "creation_pairing",
     "creation_gram",
     "middle_gram_matrix",
     "block_signature",
@@ -115,27 +117,50 @@ def integrate(n, vec):
     return vec.get(top, 0)
 
 
-def _creation_gram_row(task):
-    """Row i of the creation-basis pairing, on and right of the diagonal.
+@cache
+def _partners():
+    """Per K3 index i, the pairs (j, B(i, j)) with B(i, j) != 0, from one table of B."""
+    return [[(j, b) for j, b in enumerate(row) if b] for row in k3.gram_matrix()]
 
-    The pairing of q_lambda(alpha)|0> with q_mu(beta)|0> vanishes unless
-    mu = lambda and a part-preserving matching pairs the labels with nonzero
-    K3 pairings, since q_k(a) is adjoint to q_-k(a) up to sign (Nakajima,
-    Ann. Math. 145, 1997; Lehn and Sorger, Invent. Math. 152, 2003).  So only
-    the symbols (lambda, beta) with every B(alpha_i, beta_i) != 0 are
-    multiplied.
+
+@cache
+def _block_pairing(part, labels):
+    """Pairing of a block of k parts `part` labelled `labels`, as (beta, value) items.
+
+    The value is ((-1)^(part-1) part)^k times the permanent sum over sigma in
+    S_k of prod_i B(labels_i, beta_sigma(i)), beta descending.  Each ordering
+    of beta is one tuple of the product below; sigma meets it once per
+    permutation of beta's equal labels.
     """
-    i, n = task
-    p = hilb_base(n, 2 * n)[i]
-    parts, labels = p
-    top = top_class(n)
-    partners = [[m for m in k3.INDICES if k3.bil(l, m)] for l in labels]
-    support = {canonical_class(parts, beta) for beta in product(*partners)}
-    row = {q: mult_an(p, q, n).get(top, 0) for q in support if an_sort_key(q) >= an_sort_key(p)}
-    return {q: v for q, v in row.items() if v}
+    acc = {}
+    for pairs in product(*(_partners()[l] for l in labels)):
+        beta = tuple(sorted((j for j, _ in pairs), reverse=True))
+        acc[beta] = acc.get(beta, 0) + prod(b for _, b in pairs)
+    scale = ((-1) ** (part - 1) * part) ** len(labels)
+    return tuple(
+        (beta, scale * v * prod(factorial(beta.count(j)) for j in set(beta)))
+        for beta, v in acc.items()
+        if v
+    )
 
 
-def creation_gram(n, jobs=1):
+def creation_pairing(sym):
+    """The pairing of a creation symbol with every creation symbol, as {symbol: value}.
+
+    q_k(a) has adjoint (-1)^k q_-k(a) and [q_k(a), q_m(b)] = k delta_(k+m,0)
+    B(a, b) (Nakajima, Ann. Math. 145, 1997; Lehn and Sorger, Invent. Math.
+    152, 2003).  So q_lambda(alpha)|0> pairs only with q_lambda(beta)|0>, to
+    (-1)^(n - l(lambda)) prod(lambda) sum_sigma prod_i B(alpha_i, beta_sigma(i)),
+    sigma over the permutations of equal parts: a product over their blocks.
+    """
+    row = {(): 1}
+    for part, run in groupby(zip(*sym), key=itemgetter(0)):
+        block = _block_pairing(part, tuple(l for _, l in run))
+        row = {head + beta: v * w for head, v in row.items() for beta, w in block}
+    return {(sym[0], beta): v for beta, v in row.items()}
+
+
+def creation_gram(n):
     """The middle pairing in the creation basis, as symmetric sparse rows.
 
     Row and column indices follow `hilb_base(n, 2n)`; row i is {j: value}
@@ -143,13 +168,7 @@ def creation_gram(n, jobs=1):
     """
     basis = hilb_base(n, 2 * n)
     index = {sym: i for i, sym in enumerate(basis)}
-    half = _pool_map(_creation_gram_row, [(i, n) for i in range(len(basis))], jobs)
-    rows = [{} for _ in basis]
-    for i, row in enumerate(half):
-        for q, v in row.items():
-            j = index[q]
-            rows[i][j] = rows[j][i] = v
-    return rows
+    return [{index[q]: v for q, v in creation_pairing(p).items()} for p in basis]
 
 
 def _integral_gram(gc, n):
@@ -181,7 +200,7 @@ def _integral_gram(gc, n):
     return g
 
 
-def middle_gram_matrix(n, jobs=1, gc=None):
+def middle_gram_matrix(n, gc=None):
     """Gram matrix of the integral pairing on the degree-2n basis of Hilb^n.
 
     Built as C^T G_crea C from the creation-basis pairing `gc` (computed here
@@ -189,7 +208,7 @@ def middle_gram_matrix(n, jobs=1, gc=None):
     """
     return store.cached(
         {"kind": "middle_gram", "n": n},
-        lambda: _integral_gram(creation_gram(n, jobs) if gc is None else gc, n),
+        lambda: _integral_gram(creation_gram(n) if gc is None else gc, n),
         encode=store.encode_int_matrix,
         decode=store.decode_int_matrix,
     )
@@ -222,15 +241,15 @@ class LatticeReport:
     unimodular: bool | None = None
 
 
-def middle_lattice(n, jobs=1, check_unimodular=False):
+def middle_lattice(n, check_unimodular=False):
     """Rank, parity and signature of the middle-cohomology lattice of Hilb^n.
 
     The signature comes from the blocks of the creation-basis pairing: the
     integral Gram matrix is congruent to it over Q, so by Sylvester's law of
     inertia the two agree.  Parity and unimodularity need the integral one.
     """
-    gc = creation_gram(n, jobs=jobs)
-    g = middle_gram_matrix(n, jobs=jobs, gc=gc)
+    gc = creation_gram(n)
+    g = middle_gram_matrix(n, gc=gc)
     uni = zlinalg.is_unimodular_gram(g) if check_unimodular else None
     return LatticeReport(
         n=n,

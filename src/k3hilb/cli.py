@@ -179,9 +179,7 @@ def cmd_cokernel(args, out):
 
 def cmd_lattice(args, out):
     _check_n(args.n, MAX_LATTICE_N, args.force, "lattice")
-    report = analysis.middle_lattice(
-        args.n, jobs=args.jobs, check_unimodular=args.unimodular
-    )
+    report = analysis.middle_lattice(args.n, check_unimodular=args.unimodular)
     if args.json:
         payload = {
             "n": report.n,

@@ -55,10 +55,6 @@ def deg(i):
     raise ValueError(f"not a K3 index: {i}")
 
 
-def indices_of_degree(d):
-    return {0: (UNIT,), 2: H2_INDICES, 4: (POINT,)}.get(d, ())
-
-
 def _block_value(i, j, e8_table):
     i, j = min(i, j), max(i, j)
     if not 0 <= i <= j <= 23:
@@ -89,11 +85,6 @@ def bil_inv(i, j):
 def gram_matrix():
     """The full 24 x 24 matrix of B."""
     return [[bil(i, j) for j in INDICES] for i in INDICES]
-
-
-def h2_gram_matrix():
-    """The 22 x 22 matrix of B restricted to H^2."""
-    return [[bil(i, j) for j in H2_INDICES] for i in H2_INDICES]
 
 
 def cup_list(factors):

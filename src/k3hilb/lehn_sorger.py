@@ -28,7 +28,6 @@ __all__ = [
     "canonical_term",
     "model_term",
     "common_orbits",
-    "graph_defect",
     "mult_sn",
     "to_sn",
     "mult_an",
@@ -95,17 +94,6 @@ def _defect(orbit_size, n_p, n_t, n_pt):
             f"graph defect 2g = {twice} is not a nonnegative even integer"
         )
     return twice // 2
-
-
-def graph_defect(p, t, orbit):
-    """The graph defect of a common orbit of p and t; a nonnegative integer."""
-    members = set(orbit)
-    pt = compose(p, t)
-
-    def cycles_inside(perm):
-        return sum(1 for c in cycles_of(perm) if c[0] in members)
-
-    return _defect(len(members), cycles_inside(p), cycles_inside(t), cycles_inside(pt))
 
 
 def _orbit_factors(t1, t2):
@@ -214,12 +202,15 @@ def _symmetrized_shape(parts, pattern):
         if count == 0:
             place(points, gi + 1, pieces)
             return
-        size = groups[gi][0][0]
-        label = groups[gi][0][1]
-        usable = sorted(points)
+        size, label = groups[gi][0]
+        usable = sorted(v for v in points if v > floor)
+        if len(usable) < count * size:
+            return
+        if size == 1 and gi == len(groups) - 1:
+            # the last group is all 1-cycles: it takes every remaining point
+            terms.append(canonical_term(pieces + [((v,), label) for v in usable]))
+            return
         for support in combinations(usable, size):
-            if support[0] <= floor:
-                continue
             remaining = points - set(support)
             for cyc in _distinct_cycles(support):
                 pieces.append((cyc, label))

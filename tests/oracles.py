@@ -3,14 +3,15 @@
 Everything here is deliberately implemented from first principles, without
 calling into the code paths under test: partition counts from the pentagonal
 recurrence, base-change coefficients from brute polynomial expansion, basis
-dimensions from a truncated two-variable product series, and symbol products
+dimensions from a truncated two-variable product series, symbol products
 from the fully naive double symmetrization or from all conjugates at the full
-ambient.
+ambient, symbol conjugates by skip-and-retry enumeration, and the creation
+pairing from symbol products.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, factorial, gcd, prod
 
 
@@ -109,6 +110,25 @@ def hilb_betti_series(nmax):
 
 
 # ---------------------------------------------------------------------------
+# K3 lattice
+
+
+def indices_of_degree(d):
+    """The K3 basis indices of cohomological degree d."""
+    from k3hilb import k3
+
+    return tuple(i for i in k3.INDICES if k3.deg(i) == d)
+
+
+def h2_gram_matrix():
+    """The 22 x 22 matrix of B restricted to H^2."""
+    from k3hilb import k3
+
+    h2 = indices_of_degree(2)
+    return [[k3.bil(i, j) for j in h2] for i in h2]
+
+
+# ---------------------------------------------------------------------------
 # symmetric-group model: naive symmetrization
 
 
@@ -123,6 +143,67 @@ def naive_symmetrization(term, n, canonical):
         t = canonical(conjugate_term(term, sigma))
         counts[t] = counts.get(t, 0) + 1
     return counts
+
+
+def graph_defect(p, t, orbit):
+    """The graph defect g of a common orbit of p and t: by Riemann-Hurwitz,
+    2g = |orbit| + 2 minus the cycles of p, t and p*t inside the orbit."""
+    from k3hilb.partitions import compose, cycles_of
+
+    members = set(orbit)
+    inside = sum(
+        1 for perm in (p, t, compose(p, t)) for c in cycles_of(perm) if c[0] in members
+    )
+    twice = len(members) + 2 - inside
+    if twice < 0 or twice % 2:
+        raise ArithmeticError(f"graph defect 2g = {twice} is not a nonnegative even integer")
+    return twice // 2
+
+
+def symmetrized_shape_by_enumeration(parts, pattern):
+    """Distinct conjugates of the model term with pattern labels, plus multiplicity.
+
+    For each group of equal (part, label) pairs, every support of every
+    remaining size-subset is tried at each level and those whose minimum is
+    not above the previous one are skipped; every cyclic arrangement of each
+    support is taken.  The multiplicity is n!/#terms.
+    """
+    from k3hilb.lehn_sorger import canonical_term
+
+    n = sum(parts)
+    groups = []
+    for size, label in zip(parts, pattern):
+        if groups and groups[-1][0] == (size, label):
+            groups[-1][1] += 1
+        else:
+            groups.append([(size, label), 1])
+    terms = []
+
+    def fill_group(points, gi, count, floor, pieces):
+        if count == 0:
+            place(points, gi + 1, pieces)
+            return
+        size, label = groups[gi][0]
+        for support in combinations(sorted(points), size):
+            if support[0] <= floor:
+                continue
+            remaining = points - set(support)
+            for rest in permutations(support[:-1]):
+                pieces.append(((support[-1],) + rest, label))
+                fill_group(remaining, gi, count - 1, support[0], pieces)
+                pieces.pop()
+
+    def place(points, gi, pieces):
+        if gi == len(groups):
+            terms.append(canonical_term(pieces))
+            return
+        fill_group(points, gi, groups[gi][1], -1, pieces)
+
+    place(frozenset(range(n)), 0, [])
+    terms = tuple(sorted(set(terms)))
+    mult, rem = divmod(factorial(n), len(terms))
+    assert rem == 0
+    return terms, mult
 
 
 def naive_mult_an(a, b, n):
@@ -199,6 +280,31 @@ def direct_middle_gram(n):
         for j in range(i, m):
             g[i][j] = g[j][i] = integrate(n, cup_int(basis[i], basis[j], n))
     return g
+
+
+def creation_gram_by_products(n):
+    """The creation-basis pairing on `hilb_base(n, 2n)` as sparse index rows.
+
+    Row p multiplies only the symbols q on p's Nakajima support (same
+    partition, and labels with nonzero K3 pairings under a part-preserving
+    matching); each entry is the top-class coefficient of `mult_an(p, q, n)`.
+    """
+    from k3hilb import k3
+    from k3hilb.analysis import top_class
+    from k3hilb.hilb_basis import canonical_class, hilb_base
+    from k3hilb.lehn_sorger import mult_an
+
+    basis = hilb_base(n, 2 * n)
+    index = {sym: i for i, sym in enumerate(basis)}
+    top = top_class(n)
+    rows = []
+    for p in basis:
+        parts, labels = p
+        partners = [[m for m in k3.INDICES if k3.bil(l, m)] for l in labels]
+        support = {canonical_class(parts, beta) for beta in product(*partners)}
+        row = {index[q]: mult_an(p, q, n).get(top, 0) for q in support}
+        rows.append({j: v for j, v in row.items() if v})
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -122,9 +122,26 @@ def test_middle_lattice_hilb2():
     assert report.unimodular is True
 
 
-def test_middle_gram_parallel_matches_serial():
-    assert analysis.creation_gram(2, jobs=2) == analysis.creation_gram(2)
-    assert analysis.middle_gram_matrix(2, jobs=2) == analysis.middle_gram_matrix(2)
+@pytest.mark.parametrize("n", [2, 3])
+def test_creation_gram_closed_form_equals_products(n):
+    assert analysis.creation_gram(n) == oracles.creation_gram_by_products(n)
+
+
+@pytest.mark.parametrize("n, count", [(4, 300), (5, 120)])
+def test_creation_pairing_sampled_entries_match_products(n, count):
+    basis = hilb_base(n, 2 * n)
+    top = top_class(n)
+    rng = random.Random(20261020 + n)
+    for k in range(count):
+        p = rng.choice(basis)
+        if k % 2:
+            # on p's Nakajima support: a nonzero K3 partner for every label
+            partners = [[m for m in k3.INDICES if k3.bil(l, m)] for l in p[1]]
+            q = c(p[0], [rng.choice(ms) for ms in partners])
+        else:
+            q = rng.choice(basis)
+        for a, b in ((p, q), (q, p)):
+            assert analysis.creation_pairing(a).get(b, 0) == mult_an(a, b, n).get(top, 0), (a, b)
 
 
 def test_middle_gram_equals_all_pairs_products_hilb2():

@@ -120,6 +120,12 @@ def test_lattice_text():
     assert "rank 276, odd, signature 156, unimodular" in text
 
 
+def test_lattice_jobs_output_matches_serial():
+    for json_flag in ((), ("--json",)):
+        argv = (*json_flag, "lattice", "--n", "2", "--unimodular")
+        assert invoke("--jobs", "2", *argv) == invoke("--jobs", "1", *argv)
+
+
 def test_bns():
     code, text = invoke("bns")
     assert code == 0

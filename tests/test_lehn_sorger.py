@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement, groupby, product
 from math import factorial
 
 import pytest
@@ -6,15 +7,16 @@ import pytest
 from k3hilb import qin_wang
 from k3hilb.hilb_basis import an_z, canonical_class, hilb_base, pad_class, reduce_class
 from k3hilb.lehn_sorger import (
+    _label_shape,
+    _symmetrized_shape,
     canonical_term,
     common_orbits,
-    graph_defect,
     model_term,
     mult_an,
     mult_sn,
     to_sn,
 )
-from k3hilb.partitions import identity_perm, perm_from_cycles
+from k3hilb.partitions import identity_perm, part_of_weight, perm_from_cycles
 from k3hilb.qin_wang import cup_int
 import oracles
 
@@ -31,11 +33,11 @@ def test_common_orbits():
 
 def test_graph_defect_examples():
     swap = perm_from_cycles(2, [(0, 1)])
-    assert graph_defect(swap, swap, (0, 1)) == 0
+    assert oracles.graph_defect(swap, swap, (0, 1)) == 0
     three = perm_from_cycles(3, [(0, 1, 2)])
     three_inv = perm_from_cycles(3, [(0, 2, 1)])
-    assert graph_defect(three, three_inv, (0, 1, 2)) == 0
-    assert graph_defect(three, three, (0, 1, 2)) == 1
+    assert oracles.graph_defect(three, three_inv, (0, 1, 2)) == 0
+    assert oracles.graph_defect(three, three, (0, 1, 2)) == 1
 
 
 def test_graph_defect_nonnegative_integral_random():
@@ -45,8 +47,23 @@ def test_graph_defect_nonnegative_integral_random():
         p = tuple(rng.sample(range(n), n))
         t = tuple(rng.sample(range(n), n))
         for orbit in common_orbits(p, t):
-            g = graph_defect(p, t, orbit)
+            g = oracles.graph_defect(p, t, orbit)
             assert isinstance(g, int) and g >= 0
+
+
+def test_symmetrized_shape_matches_enumeration_oracle():
+    shapes = set()
+    for n in range(1, 7):
+        for parts in part_of_weight(n):
+            # canonical label patterns: non-increasing within each run of equal parts
+            values = range(len(parts), 0, -1)
+            runs = [combinations_with_replacement(values, len(list(g))) for _, g in groupby(parts)]
+            for labels in product(*runs):
+                shapes.add((parts, _label_shape(sum(labels, ()))[0]))
+    assert len(shapes) == 253
+    for parts, pattern in sorted(shapes):
+        got = _symmetrized_shape(parts, pattern)
+        assert got == oracles.symmetrized_shape_by_enumeration(parts, pattern), (parts, pattern)
 
 
 def test_to_sn_examples():
