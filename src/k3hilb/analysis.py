@@ -10,10 +10,10 @@ import multiprocessing
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations_with_replacement, groupby, product
-from math import factorial, gcd, prod
+from math import comb, factorial, gcd, prod
 from operator import itemgetter
 
-from . import k3, store, zlinalg
+from . import k3, zlinalg
 from .hilb_basis import an_weight, canonical_class, deg, hilb_base, pad_class
 from .qin_wang import cup_int, cup_int_list, int_to_crea
 
@@ -75,12 +75,7 @@ def sym_power_matrix(n, kpow, jobs=1):
     """
     rows = hilb_base(n, 2 * kpow)
     cols = list(combinations_with_replacement(hilb_base(n, 2), kpow))
-    return store.cached(
-        {"kind": "sym_power_matrix", "n": n, "k": kpow},
-        lambda: _assemble(rows, _pool_map(_sym_column, [(c, n) for c in cols], jobs)),
-        encode=store.encode_int_matrix,
-        decode=store.decode_int_matrix,
-    )
+    return _assemble(rows, _pool_map(_sym_column, [(c, n) for c in cols], jobs))
 
 
 def mixed_matrix(n, jobs=1):
@@ -88,16 +83,9 @@ def mixed_matrix(n, jobs=1):
 
     The domain is the full tensor product: columns run over ordered pairs.
     """
-    if n < 2:
-        raise ValueError("mixed map needs n >= 2")
     rows = hilb_base(n, 6)
     cols = list(product(hilb_base(n, 2), hilb_base(n, 4)))
-    return store.cached(
-        {"kind": "mixed_matrix", "n": n},
-        lambda: _assemble(rows, _pool_map(_pair_column, [(c, n) for c in cols], jobs)),
-        encode=store.encode_int_matrix,
-        decode=store.decode_int_matrix,
-    )
+    return _assemble(rows, _pool_map(_pair_column, [(c, n) for c in cols], jobs))
 
 
 def top_class(n):
@@ -206,12 +194,7 @@ def middle_gram_matrix(n, gc=None):
     Built as C^T G_crea C from the creation-basis pairing `gc` (computed here
     unless given), so no integral product is ever taken.
     """
-    return store.cached(
-        {"kind": "middle_gram", "n": n},
-        lambda: _integral_gram(creation_gram(n) if gc is None else gc, n),
-        encode=store.encode_int_matrix,
-        decode=store.decode_int_matrix,
-    )
+    return _integral_gram(creation_gram(n) if gc is None else gc, n)
 
 
 def block_signature(gc):
@@ -260,7 +243,7 @@ def middle_lattice(n, check_unimodular=False):
     )
 
 
-def bns_form_signature(jobs=1):
+def bns_form_signature():
     """Signature of (a, b) -> integral of a.b.(boundary half-class)^2 on H^2 of Hilb^2."""
     basis = hilb_base(2, 2)
     d = canonical_class((2,), (k3.UNIT,))
@@ -473,14 +456,16 @@ def cokernel_report(n, kind, check_generators=False, jobs=1):
     kind 'sym2'/'sym3': square/cube map out of the degree-2 classes;
     'h2xh4': the degree-2 times degree-4 pairing into degree 6.
     """
-    if kind == "sym2":
-        mat = sym_power_matrix(n, 2, jobs=jobs)
-        degree = 4
-    elif kind == "sym3":
-        mat = sym_power_matrix(n, 3, jobs=jobs)
-        degree = 6
+    # the domain sizes come from the domains: with no rows the matrix has no width
+    h2 = len(hilb_base(n, 2))
+    if kind in ("sym2", "sym3"):
+        kpow = 2 if kind == "sym2" else 3
+        mat = sym_power_matrix(n, kpow, jobs=jobs)
+        domain_dim = comb(h2 + kpow - 1, kpow)
+        degree = 2 * kpow
     elif kind == "h2xh4":
         mat = mixed_matrix(n, jobs=jobs)
+        domain_dim = h2 * len(hilb_base(n, 4))
         degree = 6
     else:
         raise ValueError(f"unknown map kind {kind!r}; expected one of {MAP_KINDS}")
@@ -506,7 +491,7 @@ def cokernel_report(n, kind, check_generators=False, jobs=1):
     return QuotientReport(
         n=n,
         map_kind=kind,
-        domain_dim=len(mat[0]) if mat else 0,
+        domain_dim=domain_dim,
         codomain_dim=len(mat),
         cokernel=coker,
         generator_checks=checks,

@@ -11,7 +11,7 @@ import json
 import os
 import sys
 
-from . import analysis, store
+from . import analysis
 from .hilb_basis import (
     ClassSyntaxError,
     an_sort_key,
@@ -200,7 +200,7 @@ def cmd_lattice(args, out):
 
 
 def cmd_bns(args, out):
-    sig = analysis.bns_form_signature(jobs=args.jobs)
+    sig = analysis.bns_form_signature()
     if args.json:
         json.dump({"rank": 23, "signature": sig}, out)
         out.write("\n")
@@ -293,7 +293,6 @@ def build_parser():
         prog="k3hilb",
         description="Exact cup products on Hilbert schemes of points on a K3 surface",
     )
-    parser.add_argument("--cache-dir", help="directory for the on-disk result cache")
     parser.add_argument("--json", action="store_true", help="structured output")
     parser.add_argument("--jobs", type=int, default=1, help="worker processes")
     parser.add_argument(
@@ -356,9 +355,6 @@ def run(argv=None, out=None):
         cpus = os.cpu_count() or 1
         if not 1 <= args.jobs <= cpus:
             raise UsageError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
-        cache_dir = args.cache_dir or store.dir_from_env()
-        if cache_dir:
-            store.configure(cache_dir)
         return args.fn(args, out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from . import store
 from .partitions import as_alpha, part_of_weight, part_z
 
 __all__ = [
@@ -75,7 +74,8 @@ def invert_lower_triangular(basis, entry):
     return inv
 
 
-def _build_block(w):
+@cache
+def _weight_block(w):
     basis = part_of_weight(w)
     index = {p: i for i, p in enumerate(basis)}
     k = len(basis)
@@ -111,29 +111,6 @@ def _build_block(w):
                 raise ArithmeticError(f"non-integral psi entry {x} at weight {w}")
     psi_block = tuple(tuple(int(x) for x in row) for row in psi_frac)
     return basis, index, inv_block, psi_block
-
-
-@cache
-def _weight_block(w):
-    key = {"kind": "psi_block", "weight": w}
-
-    def encode(block):
-        _, _, inv_block, psi_block = block
-        return {
-            "psi_inv": [[[str(x.numerator), str(x.denominator)] for x in row] for row in inv_block],
-            "psi": [[str(x) for x in row] for row in psi_block],
-        }
-
-    def decode(payload):
-        basis = part_of_weight(w)
-        index = {p: i for i, p in enumerate(basis)}
-        inv_block = tuple(
-            tuple(Fraction(int(n), int(d)) for n, d in row) for row in payload["psi_inv"]
-        )
-        psi_block = tuple(tuple(int(x) for x in row) for row in payload["psi"])
-        return basis, index, inv_block, psi_block
-
-    return store.cached(key, lambda: _build_block(w), encode=encode, decode=decode)
 
 
 def psi(lam, mu):

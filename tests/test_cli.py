@@ -99,6 +99,16 @@ def test_cokernel_text():
             '"torsion": ["2"], "free_rank": 0, "generators": [{"name": "x^(2)", '
             '"expected_order": 2, "order": 2, "ok": true}]}\n',
         ),
+        (
+            # the zero map: its domain size comes from the domain, not the matrix
+            ("cokernel", "--n", "1", "--map", "sym3"),
+            "map sym3 at n=1: 2024 -> 0\ntorsion: [], free rank: 0\n",
+        ),
+        (
+            ("--json", "cokernel", "--n", "1", "--map", "h2xh4"),
+            '{"n": 1, "map": "h2xh4", "domain_dim": 22, "codomain_dim": 0, '
+            '"torsion": [], "free_rank": 0, "generators": []}\n',
+        ),
     ],
 )
 def test_cokernel_generator_checks_stdout_pinned(argv, stdout):
@@ -183,9 +193,27 @@ def test_module_entry_point_runs_selftest():
     assert len(lines) == 7 and all(line.startswith("PASS  ") for line in lines)
 
 
-def test_usage_error_unknown_flag():
-    code, _ = invoke("cup", "--nonsense")
-    assert code == 2
+def test_usage_error_unknown_flag(tmp_path, monkeypatch):
+    from k3hilb import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started despite an unknown flag")
+
+    monkeypatch.setattr(cli, "cup_int", refuse)
+    monkeypatch.chdir(tmp_path)
+    cup = ("cup", "--n", "2", "([2],[0])", "([2],[0])")
+    for argv in (("cup", "--nonsense"), ("--cache-dir", "cache", *cup)):
+        assert invoke(*argv) == (2, "")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_dir_environment_variable_ignored(tmp_path, monkeypatch, capsys):
+    argv = ("lattice", "--n", "2", "--unimodular")
+    monkeypatch.delenv("K3HILB_CACHE_DIR", raising=False)
+    plain = invoke(*argv), capsys.readouterr().err
+    monkeypatch.setenv("K3HILB_CACHE_DIR", str(tmp_path))
+    assert (invoke(*argv), capsys.readouterr().err) == plain
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_output_deterministic():
