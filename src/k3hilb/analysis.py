@@ -6,7 +6,6 @@ independent, so assembly optionally fans out over a process pool.  Cokernels
 and lattice invariants come out of :mod:`k3hilb.zlinalg`.
 """
 
-import multiprocessing
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations_with_replacement, groupby, product
@@ -42,6 +41,8 @@ MAP_KINDS = ("sym2", "sym3", "h2xh4")
 
 def _pool_map(fn, args, jobs):
     if jobs and jobs > 1:
+        import multiprocessing
+
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(jobs) as pool:
             return pool.map(fn, args, chunksize=max(1, len(args) // (8 * jobs)))

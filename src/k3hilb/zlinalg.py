@@ -2,9 +2,10 @@
 of symmetric forms (signature, parity, unimodularity).
 
 Matrices are plain lists of rows of Python integers, so nothing ever
-overflows.  The Smith reduction first eliminates the +-1 entries of the
-sparse cup-product matrices, cheapest first, and then reduces the small
-residual with pivots of least absolute value.
+overflows; nothing beyond the standard library is imported.  The Smith
+reduction first eliminates the +-1 entries of the sparse cup-product
+matrices, cheapest first, and then reduces the small residual with pivots
+of least absolute value.
 """
 
 import re
@@ -13,8 +14,6 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
 
-import numpy as np
-
 __all__ = [
     "smith_normal_form",
     "cokernel",
@@ -22,8 +21,6 @@ __all__ = [
     "image_order",
     "signature",
     "parity",
-    "rank",
-    "has_full_column_rank",
     "is_unimodular_gram",
     "identity_matrix",
     "mat_vec",
@@ -372,53 +369,6 @@ def parity(g):
     """
     n = len(g)
     return "odd" if any(g[i][i] % 2 for i in range(n)) else "even"
-
-
-def _rank_mod_p(mat, p):
-    m = np.array(mat, dtype=object) % p
-    m = m.astype(np.int64)
-    rows, cols = m.shape
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i, c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        nz = np.nonzero(m[r + 1 :, c])[0]
-        if nz.size:
-            block = m[r + 1 :][nz]
-            m[r + 1 :][nz] = (block - np.outer(block[:, c], m[r])) % p
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-_CERT_PRIMES = (1_000_003, 998_244_353)
-
-
-def rank(mat):
-    """Exact rank over the integers."""
-    if not mat or not mat[0]:
-        return 0
-    # a modular rank is a lower bound; once one reaches the maximum we are done
-    full = min(len(mat), len(mat[0]))
-    if any(_rank_mod_p(mat, p) == full for p in _CERT_PRIMES):
-        return full
-    return len(smith_normal_form(mat))
-
-
-def has_full_column_rank(mat):
-    """True iff the columns are linearly independent over Q (hence over Z)."""
-    if not mat or not mat[0]:
-        return True
-    return rank(mat) == len(mat[0])
 
 
 def is_unimodular_gram(g):

@@ -5,8 +5,9 @@ calling into the code paths under test: partition counts from the pentagonal
 recurrence, base-change coefficients from brute polynomial expansion, basis
 dimensions from a truncated two-variable product series, symbol products
 from the fully naive double symmetrization or from all conjugates at the full
-ambient, symbol conjugates by skip-and-retry enumeration, and the creation
-pairing from symbol products.
+ambient, symbol conjugates by skip-and-retry enumeration, the creation
+pairing from symbol products, and integer ranks from sparse elimination over
+one large prime field (the Smith form only settles a rank-deficient case).
 """
 
 from fractions import Fraction
@@ -328,6 +329,51 @@ def rational_rank(mat):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def rank_mod_p(mat, p=(1 << 61) - 1):
+    """Rank over F_p by sparse row echelon form, rows as {column: value}."""
+    pivots = {}  # leading column -> row with leading entry 1
+    for row in mat:
+        r = {j: x % p for j, x in enumerate(row) if x % p}
+        while r:
+            c = min(r)
+            piv = pivots.get(c)
+            if piv is None:
+                inv = pow(r[c], -1, p)
+                pivots[c] = {j: x * inv % p for j, x in r.items()}
+                break
+            f = r[c]
+            for j, x in piv.items():
+                y = (r.get(j, 0) - f * x) % p
+                if y:
+                    r[j] = y
+                else:
+                    del r[j]
+    return len(pivots)
+
+
+def rank(mat):
+    """Exact rank over the integers.
+
+    A rank mod p is a lower bound, so reaching min(rows, cols) settles it;
+    otherwise the number of Smith invariant factors is the rank.
+    """
+    if not mat or not mat[0]:
+        return 0
+    full = min(len(mat), len(mat[0]))
+    if rank_mod_p(mat) == full:
+        return full
+    from k3hilb.zlinalg import smith_normal_form
+
+    return len(smith_normal_form(mat))
+
+
+def has_full_column_rank(mat):
+    """True iff the columns are linearly independent over Q (hence over Z)."""
+    if not mat or not mat[0]:
+        return True
+    return rank(mat) == len(mat[0])
 
 
 def mat_mul(a, b):

@@ -131,9 +131,16 @@ def test_lattice_text():
 
 
 def test_lattice_jobs_output_matches_serial():
-    for json_flag in ((), ("--json",)):
-        argv = (*json_flag, "lattice", "--n", "2", "--unimodular")
-        assert invoke("--jobs", "2", *argv) == invoke("--jobs", "1", *argv)
+    # only cokernel fans out over a pool; lattice accepts --jobs and ignores it
+    commands = (
+        ("lattice", "--n", "2", "--unimodular"),
+        ("cokernel", "--n", "2", "--map", "sym2"),
+        ("cokernel", "--n", "2", "--map", "h2xh4"),
+    )
+    for command in commands:
+        for json_flag in ((), ("--json",)):
+            argv = (*json_flag, *command)
+            assert invoke("--jobs", "2", *argv) == invoke("--jobs", "1", *argv)
 
 
 def test_bns():
@@ -191,6 +198,25 @@ def test_module_entry_point_runs_selftest():
     assert proc.returncode == 0
     lines = proc.stdout.splitlines()
     assert len(lines) == 7 and all(line.startswith("PASS  ") for line in lines)
+
+
+def test_cold_commands_import_neither_numpy_nor_multiprocessing():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src
+    script = (
+        "import io, sys\n"
+        "from k3hilb.cli import run\n"
+        "for argv in (['cokernel', '--n', '3', '--map', 'sym2', '--check-generators'],\n"
+        "             ['lattice', '--n', '2', '--unimodular']):\n"
+        "    assert run(argv, out=io.StringIO()) == 0, argv\n"
+        "print(sorted(m for m in ('numpy', 'multiprocessing') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_usage_error_unknown_flag(tmp_path, monkeypatch):
