@@ -7,9 +7,10 @@ and lattice invariants come out of :mod:`k3hilb.zlinalg`.
 """
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, groupby, product
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, lcm, prod
 from operator import itemgetter
 
 from . import k3, zlinalg
@@ -23,7 +24,6 @@ __all__ = [
     "creation_pairing",
     "creation_gram",
     "middle_gram_matrix",
-    "block_signature",
     "middle_lattice",
     "bns_form_signature",
     "QuotientReport",
@@ -161,10 +161,20 @@ def creation_gram(n):
 
 
 def _integral_gram(gc, n):
-    """G_int = C^T G_crea C, C the creation coefficients of the integral basis."""
+    """G_int = C^T G_crea C as symmetric sparse rows, C the creation coefficients
+    of the integral basis.
+
+    Each column of C is scaled by the lcm of its denominators, so every sum is
+    taken in integers; an entry that does not divide back is not integral.
+    """
     basis = hilb_base(n, 2 * n)
     index = {sym: i for i, sym in enumerate(basis)}
-    cols = [[(index[p], c) for p, c in int_to_crea(a, n).items()] for a in basis]
+    cols, scale = [], []
+    for a in basis:
+        col = int_to_crea(a, n)
+        d = lcm(*(c.denominator for c in col.values()))
+        cols.append([(index[p], int(c * d)) for p, c in col.items()])
+        scale.append(d)
     crows = [[] for _ in basis]
     for a, col in enumerate(cols):
         for p, c in col:
@@ -180,40 +190,27 @@ def _integral_gram(gc, n):
         for p, x in h.items():
             for a, c in crows[p]:
                 acc[a] = acc.get(a, 0) + c * x
-        row = [0] * len(basis)
+        row = {}
         for a, v in acc.items():
-            if v.denominator != 1:
-                raise ArithmeticError(f"non-integral pairing of {basis[a]} and {basis[b]}: {v}")
-            row[a] = int(v)
+            d = scale[a] * scale[b]
+            if v % d:
+                raise ArithmeticError(
+                    f"non-integral pairing of {basis[a]} and {basis[b]}: {Fraction(v, d)}"
+                )
+            if v:
+                row[a] = v // d
         g.append(row)
     return g
 
 
 def middle_gram_matrix(n, gc=None):
-    """Gram matrix of the integral pairing on the degree-2n basis of Hilb^n.
+    """Gram matrix of the integral pairing on the degree-2n basis of Hilb^n, dense.
 
     Built as C^T G_crea C from the creation-basis pairing `gc` (computed here
     unless given), so no integral product is ever taken.
     """
-    return _integral_gram(creation_gram(n) if gc is None else gc, n)
-
-
-def block_signature(gc):
-    """Signature of a sparse symmetric form, summed over its connected blocks."""
-    seen = set()
-    sig = 0
-    for s in range(len(gc)):
-        if s in seen:
-            continue
-        seen.add(s)
-        block = [s]
-        for i in block:
-            for j in gc[i]:
-                if j not in seen:
-                    seen.add(j)
-                    block.append(j)
-        sig += zlinalg.signature([[gc[i].get(j, 0) for j in block] for i in block])
-    return sig
+    rows = _integral_gram(creation_gram(n) if gc is None else gc, n)
+    return [[row.get(j, 0) for j in range(len(rows))] for row in rows]
 
 
 @dataclass(frozen=True)
@@ -226,21 +223,21 @@ class LatticeReport:
 
 
 def middle_lattice(n, check_unimodular=False):
-    """Rank, parity and signature of the middle-cohomology lattice of Hilb^n.
+    """Rank, parity, signature and unimodularity of the middle lattice of Hilb^n.
 
-    The signature comes from the blocks of the creation-basis pairing: the
-    integral Gram matrix is congruent to it over Q, so by Sylvester's law of
-    inertia the two agree.  Parity and unimodularity need the integral one.
+    The rank is the size of the degree-2n basis and the parity is read from
+    the diagonal of the integral Gram matrix; its signature and determinant
+    come from one exact elimination per connected block.  A square integer
+    matrix has all Smith invariant factors 1 exactly when |det| = 1.
     """
-    gc = creation_gram(n)
-    g = middle_gram_matrix(n, gc=gc)
-    uni = zlinalg.is_unimodular_gram(g) if check_unimodular else None
+    g = _integral_gram(creation_gram(n), n)
+    sig, det = zlinalg.form_invariants(g)
     return LatticeReport(
         n=n,
         rank=len(g),
-        parity=zlinalg.parity(g),
-        signature=block_signature(gc),
-        unimodular=uni,
+        parity="odd" if any(row.get(i, 0) % 2 for i, row in enumerate(g)) else "even",
+        signature=sig,
+        unimodular=abs(det) == 1 if check_unimodular else None,
     )
 
 

@@ -1,16 +1,17 @@
-"""Exact integer linear algebra: Smith normal form, cokernels, and invariants
-of symmetric forms (signature, parity, unimodularity).
+"""Exact integer linear algebra: Smith normal form, cokernels, and the
+signature and determinant of symmetric forms.
 
 Matrices are plain lists of rows of Python integers, so nothing ever
 overflows; nothing beyond the standard library is imported.  The Smith
 reduction first eliminates the +-1 entries of the sparse cup-product
 matrices, cheapest first, and then reduces the small residual with pivots
-of least absolute value.
+of least absolute value.  A symmetric form given as sparse rows gets its
+signature and determinant together, from one fraction-free elimination
+per connected block.
 """
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
 
@@ -19,9 +20,8 @@ __all__ = [
     "cokernel",
     "CokernelStructure",
     "image_order",
+    "form_invariants",
     "signature",
-    "parity",
-    "is_unimodular_gram",
     "identity_matrix",
     "mat_vec",
     "write_matrix",
@@ -310,12 +310,111 @@ def image_order(factors, u, vec):
     return order
 
 
+def _blocks(rows):
+    """The connected blocks of a symmetric sparse form, as lists of indices."""
+    seen = set()
+    for s in range(len(rows)):
+        if s in seen:
+            continue
+        seen.add(s)
+        block = [s]
+        for i in block:
+            for j in rows[i]:
+                if j not in seen:
+                    seen.add(j)
+                    block.append(j)
+        yield block
+
+
+def _block_invariants(rows, block):
+    """(signature, determinant) of one connected block, eliminating in place.
+
+    Fraction-free elimination with diagonal pivots (Bareiss, Math. Comp. 22,
+    1968): after k pivots every entry is a (k+1)-minor, the pivot `prev` is
+    the leading k-minor M_k, and the k-th diagonal entry of the rational
+    LDL^T is M_k / M_(k-1).  A row the pivot row does not meet is only
+    multiplied by M_k / M_(k-1), so it is kept as stored with the pivot
+    `stamp` it was current at, and rescaled exactly when next touched.  When
+    every active diagonal entry is 0, e_k += e_l (a unimodular congruence)
+    makes a_kk = 2 a_kl.  An empty row makes the form degenerate.
+    """
+    stamp = dict.fromkeys(block, 1)
+    active = set(block)
+    prev, sig, det = 1, 0, 1
+
+    def current(i):
+        if stamp[i] != prev:
+            s = stamp[i]
+            rows[i] = {j: v * prev // s for j, v in rows[i].items()}
+            stamp[i] = prev
+        return rows[i]
+
+    def size(i):
+        return len(rows[i])
+
+    while active:
+        # fewest nonzeros first, for the least fill
+        pivots = [i for i in active if i in rows[i]]
+        k = min(pivots or active, key=size)
+        if not pivots:
+            pk = current(k)
+            if not pk:
+                active.discard(k)
+                det = 0
+                continue
+            l = min(pk, key=size)
+            pl = current(l)
+            new = dict(pk)
+            for j, x in pl.items():
+                new[j] = new.get(j, 0) + x
+            rows[k] = {j: v for j, v in new.items() if v}
+            # the column move on every row meeting l, row k included (a_kl
+            # != 0), at each row's own stamp; a_ll = 0, so row l keeps a_lk
+            for i in pl:
+                row = rows[i]
+                v = row.get(k, 0) + row[l]
+                if v:
+                    row[k] = v
+                else:
+                    row.pop(k, None)
+            continue
+        pk = current(k)
+        rows[k] = {}
+        active.discard(k)
+        p = pk.pop(k)
+        sig += 1 if (p > 0) == (prev > 0) else -1
+        for i in pk:
+            row = current(i)
+            f = row.pop(k)
+            new = {j: p * v for j, v in row.items()}
+            for j, x in pk.items():
+                new[j] = new.get(j, 0) - f * x
+            rows[i] = {j: v // prev for j, v in new.items() if v}
+            stamp[i] = p
+        prev = p
+    return sig, det * prev
+
+
+def form_invariants(rows):
+    """Signature and determinant of a symmetric integer form, exactly.
+
+    `rows` are sparse rows {column: value}, symmetric; they are not modified.
+    One elimination per connected block; the signature of a degenerate form
+    (determinant 0) counts its nondegenerate part.
+    """
+    rows = [{j: v for j, v in row.items() if v} for row in rows]
+    sig, det = 0, 1
+    for block in _blocks(rows):
+        s, d = _block_invariants(rows, block)
+        sig += s
+        det *= d
+    return sig, det
+
+
 def signature(g):
     """Signature of a nondegenerate symmetric integer matrix, exactly.
 
-    Rational congruence diagonalization with symmetric pivoting; a pair of
-    indices with zero diagonal but nonzero pairing forms a hyperbolic block
-    and contributes zero.  Raises ValueError on a degenerate form.
+    Raises ValueError on a degenerate, non-square or non-symmetric matrix.
     """
     n = len(g)
     for i in range(n):
@@ -324,58 +423,10 @@ def signature(g):
         for j in range(i):
             if g[i][j] != g[j][i]:
                 raise ValueError("not symmetric")
-    a = [[Fraction(x) for x in row] for row in g]
-    active = list(range(n))
-    sig = 0
-    while active:
-        k = next((i for i in active if a[i][i] != 0), None)
-        if k is not None:
-            d = a[k][k]
-            sig += 1 if d > 0 else -1
-            rest = [i for i in active if i != k]
-            ak = a[k]
-            # the form stays symmetric, so column k is supported where row k is
-            nz = [j for j in rest if ak[j]]
-            for i in nz:
-                f = a[i][k] / d
-                ai = a[i]
-                for j in nz:
-                    ai[j] -= f * ak[j]
-            active = rest
-        else:
-            k = active[0]
-            l = next((j for j in active[1:] if a[k][j] != 0), None)
-            if l is None:
-                raise ValueError("degenerate symmetric form")
-            c = a[k][l]
-            rest = [i for i in active if i != k and i != l]
-            ak, al = a[k], a[l]
-            nz = [j for j in rest if ak[j] or al[j]]
-            for i in nz:
-                x = a[i][l] / c
-                y = a[i][k] / c
-                ai = a[i]
-                for j in nz:
-                    ai[j] -= x * ak[j] + y * al[j]
-            active = rest
+    sig, det = form_invariants([{j: x for j, x in enumerate(row) if x} for row in g])
+    if not det:
+        raise ValueError("degenerate symmetric form")
     return sig
-
-
-def parity(g):
-    """'odd' if some diagonal entry is odd, else 'even'.
-
-    For integral symmetric forms an odd vector exists exactly when a basis
-    vector has odd self-pairing.
-    """
-    n = len(g)
-    return "odd" if any(g[i][i] % 2 for i in range(n)) else "even"
-
-
-def is_unimodular_gram(g):
-    """True iff all Smith invariant factors are 1 (unimodular lattice)."""
-    n = len(g)
-    factors = smith_normal_form(g)
-    return len(factors) == n and all(d == 1 for d in factors)
 
 
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")

@@ -6,8 +6,9 @@ recurrence, base-change coefficients from brute polynomial expansion, basis
 dimensions from a truncated two-variable product series, symbol products
 from the fully naive double symmetrization or from all conjugates at the full
 ambient, symbol conjugates by skip-and-retry enumeration, the creation
-pairing from symbol products, and integer ranks from sparse elimination over
-one large prime field (the Smith form only settles a rank-deficient case).
+pairing from symbol products, integer ranks from sparse elimination over
+one large prime field (the Smith form only settles a rank-deficient case),
+and signatures by rational congruence diagonalization.
 """
 
 from fractions import Fraction
@@ -405,6 +406,88 @@ def det(mat):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def fraction_signature(g):
+    """Signature of a nondegenerate symmetric integer matrix, by rational
+    congruence diagonalization with symmetric pivoting.
+
+    A pair of indices with zero diagonal but nonzero pairing forms a
+    hyperbolic block and contributes zero.  Raises ValueError on a
+    degenerate form.
+    """
+    n = len(g)
+    a = [[Fraction(x) for x in row] for row in g]
+    active = list(range(n))
+    sig = 0
+    while active:
+        k = next((i for i in active if a[i][i] != 0), None)
+        if k is not None:
+            d = a[k][k]
+            sig += 1 if d > 0 else -1
+            rest = [i for i in active if i != k]
+            ak = a[k]
+            # the form stays symmetric, so column k is supported where row k is
+            nz = [j for j in rest if ak[j]]
+            for i in nz:
+                f = a[i][k] / d
+                ai = a[i]
+                for j in nz:
+                    ai[j] -= f * ak[j]
+            active = rest
+        else:
+            k = active[0]
+            l = next((j for j in active[1:] if a[k][j] != 0), None)
+            if l is None:
+                raise ValueError("degenerate symmetric form")
+            c = a[k][l]
+            rest = [i for i in active if i != k and i != l]
+            ak, al = a[k], a[l]
+            nz = [j for j in rest if ak[j] or al[j]]
+            for i in nz:
+                x = a[i][l] / c
+                y = a[i][k] / c
+                ai = a[i]
+                for j in nz:
+                    ai[j] -= x * ak[j] + y * al[j]
+            active = rest
+    return sig
+
+
+def block_signature(gc):
+    """Signature of a sparse symmetric form, summed over its connected blocks
+    by `fraction_signature`."""
+    seen = set()
+    sig = 0
+    for s in range(len(gc)):
+        if s in seen:
+            continue
+        seen.add(s)
+        block = [s]
+        for i in block:
+            for j in gc[i]:
+                if j not in seen:
+                    seen.add(j)
+                    block.append(j)
+        sig += fraction_signature([[gc[i].get(j, 0) for j in block] for i in block])
+    return sig
+
+
+def parity(g):
+    """'odd' if some diagonal entry of a dense form is odd, else 'even'.
+
+    For integral symmetric forms an odd vector exists exactly when a basis
+    vector has odd self-pairing.
+    """
+    return "odd" if any(g[i][i] % 2 for i in range(len(g))) else "even"
+
+
+def is_unimodular_gram(g):
+    """True iff all Smith invariant factors of the dense g are 1."""
+    from k3hilb.zlinalg import smith_normal_form
+
+    factors = smith_normal_form(g)
+    return len(factors) == len(g) and all(d == 1 for d in factors)
 
 
 def minor_gcd(mat, k):

@@ -159,6 +159,13 @@ def test_criterion_7_middle_lattice_hilb3_stretch():
         assert (report.rank, report.parity, report.signature) == (2554, "even", -1152)
 
 
+def test_criterion_7_middle_lattice_hilb3_unimodular():
+    with _Gate("7 middle lattice n=3, unimodular"):
+        report = analysis.middle_lattice(3, check_unimodular=True)
+        assert (report.rank, report.parity, report.signature) == (2554, "even", -1152)
+        assert report.unimodular is True
+
+
 def test_criterion_8_bns_signature():
     with _Gate("8 bns signature"):
         assert analysis.bns_form_signature() == 17

@@ -148,7 +148,50 @@ def test_middle_gram_equals_all_pairs_products_hilb2():
     g = analysis.middle_gram_matrix(2)
     assert g == oracles.direct_middle_gram(2)
     # Sylvester: the creation pairing is congruent to g over Q
-    assert analysis.block_signature(analysis.creation_gram(2)) == zlinalg.signature(g) == 156
+    assert oracles.block_signature(analysis.creation_gram(2)) == zlinalg.signature(g) == 156
+
+
+def _goettsche_soergel_signatures(nmax):
+    """sigma(K3^[n]) for n <= nmax from prod_k (1 + t^k)^-4 (1 - t^k)^-20, t = -q.
+
+    The Hirzebruch signature theorem with the chi_y genus of Hilbert schemes
+    of points (Goettsche and Soergel, Math. Ann. 296, 1993).
+    """
+    c = [1] + [0] * nmax
+    for k in range(1, nmax + 1):
+        # dividing by 1 + t^k four times and by 1 - t^k twenty times
+        for sign, times in ((-1, 4), (1, 20)):
+            for _ in range(times):
+                for i in range(k, nmax + 1):
+                    c[i] += sign * c[i - k]
+    return [(-1) ** n * x for n, x in enumerate(c)]
+
+
+def test_middle_lattice_signature_is_goettsche_soergel():
+    series = _goettsche_soergel_signatures(4)
+    assert series == [1, -16, 156, -1152, 7082]
+    for n in (1, 2, 3):
+        assert middle_lattice(n).signature == series[n]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_middle_lattice_signature_sylvester(n):
+    # the creation pairing is congruent to G_int over Q; a Fraction elimination
+    # of its blocks is independent of the integral kernel
+    assert oracles.block_signature(analysis.creation_gram(n)) == middle_lattice(n).signature
+
+
+def test_unimodular_determinant_agrees_with_smith_form_hilb2():
+    g = analysis.middle_gram_matrix(2)
+    assert oracles.is_unimodular_gram(g)
+    assert abs(zlinalg.form_invariants([{j: x for j, x in enumerate(row) if x} for row in g])[1]) == 1
+    assert middle_lattice(2, check_unimodular=True).unimodular is True
+    # one changed symmetric off-diagonal pair: both paths see a non-unimodular form
+    i, j = next((i, j) for i, row in enumerate(g) for j, x in enumerate(row) if x and i < j)
+    g[i][j] += 1
+    g[j][i] += 1
+    assert abs(zlinalg.form_invariants([{j: x for j, x in enumerate(row) if x} for row in g])[1]) != 1
+    assert not oracles.is_unimodular_gram(g)
 
 
 def test_middle_gram_rejects_non_integral_pairing():

@@ -130,6 +130,22 @@ def test_lattice_text():
     assert "rank 276, odd, signature 156, unimodular" in text
 
 
+def test_lattice_hilb3_unimodular():
+    assert invoke("lattice", "--n", "3", "--unimodular") == (
+        0,
+        "rank 2554, even, signature -1152, unimodular\n",
+    )
+    code, text = invoke("--json", "lattice", "--n", "3", "--unimodular")
+    assert code == 0
+    assert json.loads(text) == {
+        "n": 3,
+        "rank": 2554,
+        "parity": "even",
+        "signature": -1152,
+        "unimodular": True,
+    }
+
+
 def test_lattice_jobs_output_matches_serial():
     # only cokernel fans out over a pool; lattice accepts --jobs and ignores it
     commands = (

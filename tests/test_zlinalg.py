@@ -11,9 +11,8 @@ from k3hilb.zlinalg import (
     cokernel,
     dedup_columns,
     identity_matrix,
+    form_invariants,
     image_order,
-    is_unimodular_gram,
-    parity,
     read_matrix,
     signature,
     smith_normal_form,
@@ -254,10 +253,69 @@ def test_signature_sparse_forms(g, seed):
     assert signature(oracles.mat_mul(pt, oracles.mat_mul(g, p))) == s
 
 
+def _random_form(rng, n, zero_diagonal, values=(0, 0, 0, 1, -1, 2, -3, 5)):
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1 if zero_diagonal else i, n):
+            g[i][j] = g[j][i] = rng.choice(values)
+    return g
+
+
+def _sparse(g):
+    return [{j: x for j, x in enumerate(row) if x} for row in g]
+
+
+def test_form_invariants_match_fraction_oracle():
+    # half the forms have an all-zero diagonal, so the elimination must take
+    # the hyperbolic step e_k += e_l, which makes a_kk = 2 a_kl
+    rng = random.Random(20261019)
+    nondegenerate = 0
+    for t in range(2000):
+        g = _random_form(rng, rng.randint(1, 9), zero_diagonal=t % 2 == 0)
+        sig, d = form_invariants(_sparse(g))
+        assert d == det(g), g
+        if d:
+            assert sig == oracles.fraction_signature(g) == signature(g), g
+            nondegenerate += 1
+        else:
+            with pytest.raises(ValueError):
+                signature(g)
+    assert 1200 < nondegenerate < 1900
+
+
+def test_form_invariants_degenerate_forms():
+    rng = random.Random(11)
+    for t in range(300):
+        n = rng.randint(2, 7)
+        # a repeated row and column: det 0 by construction
+        g = _random_form(rng, n - 1, zero_diagonal=t % 2 == 0, values=(0, 1, -1, 2))
+        g = [row + row[-1:] for row in g]
+        g.append(list(g[-1]))
+        assert form_invariants(_sparse(g))[1] == 0
+        with pytest.raises(ValueError):
+            signature(g)
+        # the signature counts the nondegenerate part; with |entries| <= 2 and
+        # n <= 7 the nonzero eigenvalues multiply to a nonzero integer minor
+        # sum, so none is below 14^-5 > 1e-6, far above the float error
+        eig = np.linalg.eigvalsh(np.array(g, dtype=float))
+        assert form_invariants(_sparse(g))[0] == sum(x > 1e-9 for x in eig) - sum(x < -1e-9 for x in eig)
+    assert form_invariants([{}, {2: 1}, {1: 1}]) == (0, 0)
+    with pytest.raises(ValueError):
+        signature([[1, 0], [0]])
+    with pytest.raises(ValueError):
+        signature([[0, 1, 0], [1, 0, 0]])
+
+
+def test_form_invariants_leaves_rows_unchanged():
+    rows = [{0: 2, 1: 1}, {0: 1, 1: 2}]
+    assert form_invariants(rows) == (2, 3)
+    assert rows == [{0: 2, 1: 1}, {0: 1, 1: 2}]
+
+
 def test_parity():
-    assert parity([[0, 1], [1, 0]]) == "even"
-    assert parity([[1]]) == "odd"
-    assert parity([[2, 1], [1, 4]]) == "even"
+    assert oracles.parity([[0, 1], [1, 0]]) == "even"
+    assert oracles.parity([[1]]) == "odd"
+    assert oracles.parity([[2, 1], [1, 4]]) == "even"
 
 
 def test_rank_and_full_column_rank():
@@ -274,9 +332,9 @@ def test_rank_and_full_column_rank():
 
 
 def test_unimodular_gram():
-    assert is_unimodular_gram([[0, 1], [1, 0]])
-    assert not is_unimodular_gram([[2]])
-    assert is_unimodular_gram(identity_matrix(5))
+    assert oracles.is_unimodular_gram([[0, 1], [1, 0]])
+    assert not oracles.is_unimodular_gram([[2]])
+    assert oracles.is_unimodular_gram(identity_matrix(5))
 
 
 def test_matrix_io_round_trip(tmp_path):
