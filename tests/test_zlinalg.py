@@ -10,8 +10,8 @@ from k3hilb.zlinalg import (
     CokernelStructure,
     cokernel,
     dedup_columns,
-    identity_matrix,
     form_invariants,
+    identity_matrix,
     image_order,
     read_matrix,
     signature,
@@ -291,14 +291,15 @@ def test_form_invariants_degenerate_forms():
         g = _random_form(rng, n - 1, zero_diagonal=t % 2 == 0, values=(0, 1, -1, 2))
         g = [row + row[-1:] for row in g]
         g.append(list(g[-1]))
-        assert form_invariants(_sparse(g))[1] == 0
+        sig, d = form_invariants(_sparse(g))
+        assert d == 0
         with pytest.raises(ValueError):
             signature(g)
         # the signature counts the nondegenerate part; with |entries| <= 2 and
         # n <= 7 the nonzero eigenvalues multiply to a nonzero integer minor
         # sum, so none is below 14^-5 > 1e-6, far above the float error
         eig = np.linalg.eigvalsh(np.array(g, dtype=float))
-        assert form_invariants(_sparse(g))[0] == sum(x > 1e-9 for x in eig) - sum(x < -1e-9 for x in eig)
+        assert sig == sum(x > 1e-9 for x in eig) - sum(x < -1e-9 for x in eig)
     assert form_invariants([{}, {2: 1}, {1: 1}]) == (0, 0)
     with pytest.raises(ValueError):
         signature([[1, 0], [0]])
