@@ -6,12 +6,12 @@ independent, so assembly optionally fans out over a process pool.  Cokernels
 and lattice invariants come out of :mod:`k3hilb.zlinalg`.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, groupby, product
 from math import comb, factorial, gcd, lcm, prod
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import k3, zlinalg
 from .hilb_basis import an_weight, canonical_class, deg, hilb_base, pad_class
@@ -213,8 +213,7 @@ def middle_gram_matrix(n, gc=None):
     return [[row.get(j, 0) for j in range(len(rows))] for row in rows]
 
 
-@dataclass(frozen=True)
-class LatticeReport:
+class LatticeReport(NamedTuple):
     n: int
     rank: int
     parity: str
@@ -384,8 +383,7 @@ def verify_quotient_generator(n, cls, matrix, expected_order, degree):
     return _generator_order(factors, u, vec, expected_order) == expected_order
 
 
-@dataclass(frozen=True)
-class GeneratorCheck:
+class GeneratorCheck(NamedTuple):
     name: str
     expected_order: int
     order: int
@@ -395,14 +393,13 @@ class GeneratorCheck:
         return self.order == self.expected_order
 
 
-@dataclass(frozen=True)
-class QuotientReport:
+class QuotientReport(NamedTuple):
     n: int
     map_kind: str
     domain_dim: int
     codomain_dim: int
     cokernel: zlinalg.CokernelStructure
-    generator_checks: tuple = field(default=())
+    generator_checks: tuple = ()
 
 
 def _primary_part(order, p):

@@ -23,7 +23,7 @@ from .hilb_basis import (
 from .qin_wang import cup_int, cup_universal
 
 MAX_PRODUCT_N = 8
-MAX_LATTICE_N = 3
+MAX_LATTICE_N = 4
 
 
 class UsageError(Exception):

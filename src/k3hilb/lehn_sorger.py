@@ -8,6 +8,10 @@ the graph defect g of the orbit, where e = m(coprod(1)) = -24*x is the Euler
 class under the sign-twisted pairing, then redistribute onto the
 pi*tau-cycles with the iterated adjoint comultiplication.
 
+The product works on the two cycle lists: the orbits are the components of
+cycles that share a point, and most products die on a zero cup of some
+orbit's labels before any pi*tau-cycle is walked.  mult_sn checks its terms.
+
 Symbols (parts, labels) embed by symmetrization: a symbol maps to the sum of
 all conjugates of its model term.  to_sn returns the distinct conjugates and
 the integer multiplicity with which each occurs; mult_an combines both to
@@ -22,7 +26,7 @@ from math import factorial, perm
 
 from . import k3
 from .hilb_basis import an_z, canonical_class, pad_class, reduce_class
-from .partitions import compose, cycles_of, perm_from_cycles
+from .partitions import cycles_of
 
 __all__ = [
     "canonical_term",
@@ -96,37 +100,71 @@ def _defect(orbit_size, n_p, n_t, n_pt):
     return twice // 2
 
 
-def _orbit_factors(t1, t2):
+def _term_arrays(term, n):
+    """The next-point and point-to-piece arrays of a term on n points, in one pass."""
+    nxt, owner = [0] * n, [0] * n
+    for i, (cyc, _) in enumerate(term):
+        prev = cyc[-1]
+        for v in cyc:
+            nxt[prev] = v
+            owner[v] = i
+            prev = v
+    return nxt, owner
+
+
+def _orbit_factors(t1, t2, arrays2):
     """The product of two canonical terms, orbit by orbit of <p, t>.
 
     One list of (pieces, coeff) options per common orbit: the labels inside
     the orbit are cupped, multiplied by e^g for its graph defect g and
     redistributed onto the p*t-cycles inside it.  None when an orbit
-    contributes nothing.
+    contributes nothing.  The terms must split the same points {0, ..., n-1}
+    into cycles (mult_sn checks this); arrays2 is _term_arrays(t2, n).
     """
-    n = sum(len(c) for c, _ in t1)
-    if sum(len(c) for c, _ in t2) != n:
-        raise ValueError("terms live on different point counts")
-    p = perm_from_cycles(n, [c for c, _ in t1])
-    t = perm_from_cycles(n, [c for c, _ in t2])
-    pt = compose(p, t)
-    pt_cycles = cycles_of(pt)
+    t, own2 = arrays2
+    p, own1 = _term_arrays(t1, len(t))
+
+    # the orbits are the components of the pieces of t1 and t2 sharing a point
+    orbit_of = [-1] * len(t1)
+    taken = [False] * len(t2)
+    orbits = []
+    for start in range(len(t1)):
+        if orbit_of[start] >= 0:
+            continue
+        orbit_of[start] = k = len(orbits)
+        ps, ts = [start], []
+        for i in ps:  # grows while it is walked
+            for v in t1[i][0]:
+                j = own2[v]
+                if not taken[j]:
+                    taken[j] = True
+                    ts.append(j)
+                    for w in t2[j][0]:
+                        if orbit_of[own1[w]] < 0:
+                            orbit_of[own1[w]] = k
+                            ps.append(own1[w])
+        orbits.append((ps, ts))
+
+    # most products die here, on a zero cup of some orbit's labels
+    glued = []
+    for ps, ts in orbits:
+        cls = k3.cup_list([t1[i][1] for i in ps] + [t2[j][1] for j in ts])
+        if not cls:
+            return None
+        glued.append(cls)
+
+    # the p*t-cycles, v -> p[t[v]], sorted into their orbits
+    targets = [[] for _ in orbits]
+    for cyc in cycles_of([p[v] for v in t]):
+        targets[orbit_of[own1[cyc[0]]]].append(cyc)
 
     factors = []
-    for orbit in common_orbits(p, t):
-        members = set(orbit)
-        labels = [lab for c, lab in t1 if c[0] in members]
-        labels += [lab for c, lab in t2 if c[0] in members]
-        target = [c for c in pt_cycles if c[0] in members]
-        g = _defect(
-            len(orbit),
-            sum(1 for c, _ in t1 if c[0] in members),
-            sum(1 for c, _ in t2 if c[0] in members),
-            len(target),
-        )
-        glued = k3.euler_power_multiplier(g)(k3.cup_list(labels))
+    for (ps, ts), cls, target in zip(orbits, glued, targets):
+        g = _defect(sum(len(t1[i][0]) for i in ps), len(ps), len(ts), len(target))
+        if g:
+            cls = k3.euler_power_multiplier(g)(cls)
         pieces = []
-        for r, v in glued.items():
+        for r, v in cls.items():
             for out_labels, w in k3._coprod_items(len(target), r):
                 pieces.append((tuple(zip(target, out_labels)), v * w))
         if not pieces:
@@ -154,13 +192,18 @@ def _expand(factors, key_of, acc):
 def _mult_sn_items(t1, t2):
     """Product of two canonical terms, as sorted ((term, coeff), ...) items."""
     acc = {}
-    _expand(_orbit_factors(t1, t2), canonical_term, acc)
+    arrays2 = _term_arrays(t2, sum(len(c) for c, _ in t2))
+    _expand(_orbit_factors(t1, t2, arrays2), canonical_term, acc)
     return tuple((term, v) for term, v in sorted(acc.items()) if v)
 
 
 def mult_sn(a, b):
-    """Product of two labeled-cycle terms as a sparse {term: coeff} map."""
-    return dict(_mult_sn_items(canonical_term(a), canonical_term(b)))
+    """Product of two terms on the same points 0..n-1 as a sparse {term: coeff} map."""
+    a, b = canonical_term(a), canonical_term(b)
+    pa, pb = (sorted(v for c, _ in term for v in c) for term in (a, b))
+    if pa != pb or pa != list(range(len(pa))):
+        raise ValueError(f"{a} and {b} are not disjoint cycles on the same 0..n-1")
+    return dict(_mult_sn_items(a, b))
 
 
 def _label_shape(labels):
@@ -277,10 +320,11 @@ def _mult_an_cached(a, b, n):
     m = min(n, sa + sb)
     terms, _ = to_sn(a, m)
     b_model = model_term(*pad_class(b, m))
+    b_arrays = _term_arrays(b_model, m)
     per_k = {}
     for t in terms:
         k = sum(1 for c, lab in t if not _is_padding(c, lab) for v in c if v >= sb)
-        _expand(_orbit_factors(t, b_model), _reduced_key, per_k.setdefault(k, {}))
+        _expand(_orbit_factors(t, b_model, b_arrays), _reduced_key, per_k.setdefault(k, {}))
     mult = an_z(pad_class(a, n))
     acc = {}
     for k, sums in per_k.items():

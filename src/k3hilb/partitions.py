@@ -1,4 +1,4 @@
-"""Integer partitions and the partition/permutation dictionary.
+"""Integer partitions, and the cycles of a permutation.
 
 Partitions are stored in lambda-notation as tuples of weakly decreasing
 positive integers; the empty partition is ().  Alpha-notation (the tuple of
@@ -125,29 +125,6 @@ def parse_partition(text):
 # permutations
 
 
-def identity_perm(n):
-    return tuple(range(n))
-
-
-def compose(p, q):
-    """Composition p*q acting as (p*q)(i) = p(q(i))."""
-    return tuple(p[q[i]] for i in range(len(q)))
-
-
-def perm_from_cycles(n, cycles):
-    """Permutation on n points from disjoint cycles (fixed points may be omitted)."""
-    images = list(range(n))
-    seen = set()
-    for cyc in cycles:
-        for v in cyc:
-            if v in seen or not 0 <= v < n:
-                raise ValueError(f"invalid cycle decomposition on {n} points: {cycles}")
-            seen.add(v)
-        for a, b in zip(cyc, cyc[1:] + type(cyc)((cyc[0],))):
-            images[a] = b
-    return tuple(images)
-
-
 def cycles_of(p):
     """Disjoint cycles of a permutation, fixed points included.
 
@@ -169,22 +146,3 @@ def cycles_of(p):
             v = p[v]
         out.append(tuple(cyc))
     return tuple(out)
-
-
-def cycle_type(p):
-    """Partition of the cycle lengths of a permutation (fixed points count as 1)."""
-    return as_partition(len(c) for c in cycles_of(p))
-
-
-def part_permute(p):
-    """A canonical permutation with cycle type p.
-
-    Cycles are laid out left-to-right on consecutive integers, largest part
-    first, so the cycle containing 0 has length p[0].
-    """
-    cycles = []
-    start = 0
-    for size in p:
-        cycles.append(tuple(range(start, start + size)))
-        start += size
-    return perm_from_cycles(start, cycles)

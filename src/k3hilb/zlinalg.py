@@ -11,9 +11,9 @@ per connected block.
 """
 
 import re
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import gcd, lcm
+from typing import NamedTuple
 
 __all__ = [
     "smith_normal_form",
@@ -249,8 +249,7 @@ def smith_normal_form(mat, transforms=False):
     return factors, [dense(t) for t in [[(1, i)] for i in pivots] + combined + zeroed]
 
 
-@dataclass(frozen=True)
-class CokernelStructure:
+class CokernelStructure(NamedTuple):
     """Torsion invariant factors (each > 1, in a divisibility chain) + free rank."""
 
     torsion: tuple

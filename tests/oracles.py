@@ -5,10 +5,11 @@ calling into the code paths under test: partition counts from the pentagonal
 recurrence, base-change coefficients from brute polynomial expansion, basis
 dimensions from a truncated two-variable product series, symbol products
 from the fully naive double symmetrization or from all conjugates at the full
-ambient, symbol conjugates by skip-and-retry enumeration, the creation
-pairing from symbol products, integer ranks from sparse elimination over
-one large prime field (the Smith form only settles a rank-deficient case),
-and signatures by rational congruence diagonalization.
+ambient, symbol conjugates by skip-and-retry enumeration, the orbit product
+of two terms from permutation tuples, the creation pairing from symbol
+products, integer ranks from sparse elimination over one large prime field
+(the Smith form only settles a rank-deficient case), and signatures by
+rational congruence diagonalization.
 """
 
 from fractions import Fraction
@@ -131,6 +132,54 @@ def h2_gram_matrix():
 
 
 # ---------------------------------------------------------------------------
+# permutations, as tuples of images on {0, ..., n-1}
+
+
+def identity_perm(n):
+    return tuple(range(n))
+
+
+def compose(p, q):
+    """Composition p*q acting as (p*q)(i) = p(q(i))."""
+    return tuple(p[q[i]] for i in range(len(q)))
+
+
+def perm_from_cycles(n, cycles):
+    """Permutation on n points from disjoint cycles (fixed points may be omitted)."""
+    images = list(range(n))
+    seen = set()
+    for cyc in cycles:
+        for v in cyc:
+            if v in seen or not 0 <= v < n:
+                raise ValueError(f"invalid cycle decomposition on {n} points: {cycles}")
+            seen.add(v)
+        for a, b in zip(cyc, cyc[1:] + type(cyc)((cyc[0],))):
+            images[a] = b
+    return tuple(images)
+
+
+def cycle_type(p):
+    """Partition of the cycle lengths of a permutation (fixed points count as 1)."""
+    from k3hilb.partitions import as_partition, cycles_of
+
+    return as_partition(len(c) for c in cycles_of(p))
+
+
+def part_permute(p):
+    """A canonical permutation with cycle type p.
+
+    Cycles are laid out left-to-right on consecutive integers, largest part
+    first, so the cycle containing 0 has length p[0].
+    """
+    cycles = []
+    start = 0
+    for size in p:
+        cycles.append(tuple(range(start, start + size)))
+        start += size
+    return perm_from_cycles(start, cycles)
+
+
+# ---------------------------------------------------------------------------
 # symmetric-group model: naive symmetrization
 
 
@@ -150,7 +199,7 @@ def naive_symmetrization(term, n, canonical):
 def graph_defect(p, t, orbit):
     """The graph defect g of a common orbit of p and t: by Riemann-Hurwitz,
     2g = |orbit| + 2 minus the cycles of p, t and p*t inside the orbit."""
-    from k3hilb.partitions import compose, cycles_of
+    from k3hilb.partitions import cycles_of
 
     members = set(orbit)
     inside = sum(
@@ -160,6 +209,49 @@ def graph_defect(p, t, orbit):
     if twice < 0 or twice % 2:
         raise ArithmeticError(f"graph defect 2g = {twice} is not a nonnegative even integer")
     return twice // 2
+
+
+def orbit_factors_by_permutations(t1, t2):
+    """The orbit factors of two canonical terms, as `lehn_sorger._orbit_factors`
+    gives them, from permutation tuples.
+
+    Both terms become image tuples, checked by `perm_from_cycles`; p*t is
+    composed and split into cycles by `cycles_of`, and the orbits come from
+    `common_orbits`.  Each orbit's pieces, p*t-cycles and graph defect are
+    found by scanning every cycle for a point of the orbit.
+    """
+    from k3hilb import k3
+    from k3hilb.lehn_sorger import _defect, common_orbits
+    from k3hilb.partitions import cycles_of
+
+    n = sum(len(c) for c, _ in t1)
+    if sum(len(c) for c, _ in t2) != n:
+        raise ValueError("terms live on different point counts")
+    p = perm_from_cycles(n, [c for c, _ in t1])
+    t = perm_from_cycles(n, [c for c, _ in t2])
+    pt_cycles = cycles_of(compose(p, t))
+
+    factors = []
+    for orbit in common_orbits(p, t):
+        members = set(orbit)
+        labels = [lab for c, lab in t1 if c[0] in members]
+        labels += [lab for c, lab in t2 if c[0] in members]
+        target = [c for c in pt_cycles if c[0] in members]
+        g = _defect(
+            len(orbit),
+            sum(1 for c, _ in t1 if c[0] in members),
+            sum(1 for c, _ in t2 if c[0] in members),
+            len(target),
+        )
+        glued = k3.euler_power_multiplier(g)(k3.cup_list(labels))
+        pieces = []
+        for r, v in glued.items():
+            for out_labels, w in k3._coprod_items(len(target), r):
+                pieces.append((tuple(zip(target, out_labels)), v * w))
+        if not pieces:
+            return None
+        factors.append(pieces)
+    return factors
 
 
 def symmetrized_shape_by_enumeration(parts, pattern):
@@ -532,6 +624,4 @@ def assert_smith_row_transform(mat, factors, u):
 
 def perm_count_of_cycle_type(lam, n):
     """Number of permutations in S_n with the given cycle type, by enumeration."""
-    from k3hilb.partitions import cycle_type
-
     return sum(1 for p in permutations(range(n)) if cycle_type(p) == lam)

@@ -146,6 +146,15 @@ def test_lattice_hilb3_unimodular():
     }
 
 
+@pytest.mark.stretch
+def test_lattice_hilb4_unimodular_stretch():
+    # within the default size limit since the block elimination: ~25 s cold
+    assert invoke("lattice", "--n", "4", "--unimodular") == (
+        0,
+        "rank 19298, odd, signature 7082, unimodular\n",
+    )
+
+
 def test_lattice_jobs_output_matches_serial():
     # only cokernel fans out over a pool; lattice accepts --jobs and ignores it
     commands = (
@@ -182,7 +191,7 @@ def test_usage_error_bad_class():
 def test_usage_error_size_limit():
     code, _ = invoke("cup", "--n", "9", "([2],[0])", "([2],[0])")
     assert code == 2
-    code, _ = invoke("lattice", "--n", "4")
+    code, _ = invoke("lattice", "--n", "5")
     assert code == 2
 
 
@@ -226,7 +235,7 @@ def test_cold_commands_import_neither_numpy_nor_multiprocessing():
         "for argv in (['cokernel', '--n', '3', '--map', 'sym2', '--check-generators'],\n"
         "             ['lattice', '--n', '2', '--unimodular']):\n"
         "    assert run(argv, out=io.StringIO()) == 0, argv\n"
-        "print(sorted(m for m in ('numpy', 'multiprocessing') if m in sys.modules))\n"
+        "print(sorted(m for m in ('numpy', 'multiprocessing', 'dataclasses') if m in sys.modules))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300

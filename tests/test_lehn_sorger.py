@@ -7,8 +7,11 @@ import pytest
 from k3hilb import qin_wang
 from k3hilb.hilb_basis import an_z, canonical_class, hilb_base, pad_class, reduce_class
 from k3hilb.lehn_sorger import (
+    _expand,
     _label_shape,
+    _orbit_factors,
     _symmetrized_shape,
+    _term_arrays,
     canonical_term,
     common_orbits,
     model_term,
@@ -16,9 +19,10 @@ from k3hilb.lehn_sorger import (
     mult_sn,
     to_sn,
 )
-from k3hilb.partitions import identity_perm, part_of_weight, perm_from_cycles
+from k3hilb.partitions import part_of_weight
 from k3hilb.qin_wang import cup_int
 import oracles
+from oracles import identity_perm, perm_from_cycles
 
 
 def test_common_orbits():
@@ -162,6 +166,78 @@ def test_mult_sn_associative_sweep():
         b = {random_term(rng, n, rng.randint(1, n)): 1}
         d = {random_term(rng, n, rng.randint(1, n)): 1}
         assert mult_vec(mult_vec(a, b), d) == mult_vec(a, mult_vec(b, d))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([((0, 1), 0), ((1,), 0)], [((0, 1), 0)]),  # overlapping cycles
+        ([((0, 2), 0)], [((0, 1), 0)]),  # point 1 missing
+        ([((0, 1), 0), ((3,), 0)], [((0, 1, 2), 0)]),  # point 3 out of range
+        ([((0, 1), 0)], [((0, 2, 1), 0)]),  # two points against three
+    ],
+    ids=["overlap", "missing", "out_of_range", "point_counts"],
+)
+def test_mult_sn_rejects_invalid_terms(a, b):
+    with pytest.raises(ValueError):
+        mult_sn(a, b)
+    with pytest.raises(ValueError):
+        mult_sn(b, a)
+
+
+def _assert_kernel_matches_oracle(t1, t2, expand=True):
+    """The cycle-list kernel and the permutation oracle give the same factors,
+    orbit by orbit up to the order of the orbits, and the same expanded product."""
+    n = sum(len(c) for c, _ in t2)
+    got = _orbit_factors(t1, t2, _term_arrays(t2, n))
+    want = oracles.orbit_factors_by_permutations(t1, t2)
+    assert (got is None) == (want is None), (t1, t2)
+    if got is not None:
+        assert sorted(map(sorted, got)) == sorted(map(sorted, want)), (t1, t2)
+    if expand:
+        got_sum, want_sum = {}, {}
+        _expand(got, canonical_term, got_sum)
+        _expand(want, canonical_term, want_sum)
+        assert got_sum == want_sum, (t1, t2)
+    return got is not None
+
+
+def test_orbit_kernel_matches_permutation_oracle_all_conjugates():
+    # every conjugate of every model term against every model term, n <= 5,
+    # with all labels units (graph defects give Euler factors) and a seeded
+    # mixed labelling; the all-unit expansions at n = 5 run to tens of
+    # thousands of terms a product, so there the factors alone are compared
+    rng = random.Random(5)
+    checked = nonzero = 0
+    for n in range(1, 6):
+        for pa in part_of_weight(n):
+            for pb in part_of_weight(n):
+                units = ((0,) * len(pa), (0,) * len(pb))
+                mixed = tuple(tuple(rng.choice((0, 0, 1, 2, 23)) for _ in p) for p in (pa, pb))
+                for (la, lb), expand in ((units, n < 5), (mixed, True)):
+                    b = model_term(*canonical_class(pb, lb))
+                    for t in to_sn(canonical_class(pa, la), n)[0]:
+                        nonzero += _assert_kernel_matches_oracle(t, b, expand)
+                        checked += 1
+    assert (checked, nonzero) == (2591, 1187)
+
+
+def test_orbit_kernel_matches_permutation_oracle_random():
+    rng = random.Random(68)
+
+    def random_term(n):
+        points = rng.sample(range(n), n)
+        cuts = [0] + sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) + [n]
+        return canonical_term(
+            (tuple(points[i:j]), rng.choice((0, 0, 0, 0, 0, 1, 2, 15, 23)))
+            for i, j in zip(cuts, cuts[1:])
+        )
+
+    nonzero = sum(
+        _assert_kernel_matches_oracle(random_term(n), random_term(n))
+        for n in (rng.randint(6, 8) for _ in range(300))
+    )
+    assert nonzero == 51
 
 
 def test_mult_an_unit_scaling():

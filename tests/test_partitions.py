@@ -6,21 +6,17 @@ from hypothesis import given, strategies as st
 from k3hilb.partitions import (
     as_alpha,
     as_partition,
-    compose,
-    cycle_type,
     cycles_of,
     format_partition,
     from_alpha,
-    identity_perm,
     parse_partition,
     part_conj,
     part_of_weight,
     part_of_weight_length,
-    part_permute,
     part_z,
-    perm_from_cycles,
 )
 import oracles
+from oracles import compose, cycle_type, identity_perm, part_permute, perm_from_cycles
 
 
 def test_part_of_weight_small():
