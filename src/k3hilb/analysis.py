@@ -9,13 +9,13 @@ and lattice invariants come out of :mod:`k3hilb.zlinalg`.
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, groupby, product
-from math import comb, factorial, gcd, lcm, prod
+from math import factorial, gcd, prod
 from operator import itemgetter
 from typing import NamedTuple
 
 from . import k3, zlinalg
 from .hilb_basis import an_weight, canonical_class, deg, hilb_base, pad_class
-from .qin_wang import cup_int, cup_int_list, int_to_crea
+from .qin_wang import _int_to_crea_items, cup_int_list
 
 __all__ = [
     "sym_power_matrix",
@@ -49,14 +49,14 @@ def _pool_map(fn, args, jobs):
     return [fn(a) for a in args]
 
 
-def _sym_column(task):
+def _product_column(task):
     factors, n = task
     return cup_int_list(list(factors), n)
 
 
-def _pair_column(task):
-    (a, b), n = task
-    return cup_int(a, b, n)
+def _columns(domain, n, jobs):
+    """The products of the factor tuples of `domain` at n, as sparse columns."""
+    return _pool_map(_product_column, [(f, n) for f in domain], jobs)
 
 
 def _assemble(rows, sparse_columns):
@@ -68,15 +68,27 @@ def _assemble(rows, sparse_columns):
     return mat
 
 
+def _distinct_rows(rows, sparse_columns):
+    """The rows of `zlinalg.dedup_columns(_assemble(rows, sparse_columns))`, sparse:
+    the distinct nonzero columns in first-seen order."""
+    index = {sym: i for i, sym in enumerate(rows)}
+    distinct = dict.fromkeys(frozenset(col.items()) for col in sparse_columns)
+    distinct.pop(frozenset(), None)
+    out = [{} for _ in rows]
+    for j, col in enumerate(distinct):
+        for sym, c in col:
+            out[index[sym]][j] = c
+    return out
+
+
 def sym_power_matrix(n, kpow, jobs=1):
     """Matrix of the k-th power map from degree-2 classes into degree 2k.
 
     Columns are indexed by multisets of size k over the 23 degree-2 basis
     classes, rows by the degree-2k basis of Hilb^n.
     """
-    rows = hilb_base(n, 2 * kpow)
-    cols = list(combinations_with_replacement(hilb_base(n, 2), kpow))
-    return _assemble(rows, _pool_map(_sym_column, [(c, n) for c in cols], jobs))
+    domain = combinations_with_replacement(hilb_base(n, 2), kpow)
+    return _assemble(hilb_base(n, 2 * kpow), _columns(domain, n, jobs))
 
 
 def mixed_matrix(n, jobs=1):
@@ -84,9 +96,8 @@ def mixed_matrix(n, jobs=1):
 
     The domain is the full tensor product: columns run over ordered pairs.
     """
-    rows = hilb_base(n, 6)
-    cols = list(product(hilb_base(n, 2), hilb_base(n, 4)))
-    return _assemble(rows, _pool_map(_pair_column, [(c, n) for c in cols], jobs))
+    domain = product(hilb_base(n, 2), hilb_base(n, 4))
+    return _assemble(hilb_base(n, 6), _columns(domain, n, jobs))
 
 
 def top_class(n):
@@ -164,16 +175,15 @@ def _integral_gram(gc, n):
     """G_int = C^T G_crea C as symmetric sparse rows, C the creation coefficients
     of the integral basis.
 
-    Each column of C is scaled by the lcm of its denominators, so every sum is
+    Each column of C comes as integers over one denominator, so every sum is
     taken in integers; an entry that does not divide back is not integral.
     """
     basis = hilb_base(n, 2 * n)
     index = {sym: i for i, sym in enumerate(basis)}
     cols, scale = [], []
     for a in basis:
-        col = int_to_crea(a, n)
-        d = lcm(*(c.denominator for c in col.values()))
-        cols.append([(index[p], int(c * d)) for p, c in col.items()])
+        d, items = _int_to_crea_items(a)  # a basis symbol at n is its own padding
+        cols.append([(index[p], c) for p, c in items])
         scale.append(d)
     crows = [[] for _ in basis]
     for a, col in enumerate(cols):
@@ -365,7 +375,7 @@ def _generator_order(factors, u, vec, expected, primary=None):
     p-primary part when a prime `primary` is given.
     """
     if expected == 0:
-        return 0 if gcd(*zlinalg.mat_vec(u, vec)[len(factors) :]) == 1 else -1
+        return 0 if gcd(*zlinalg.sparse_mat_vec(u[len(factors) :], vec)) == 1 else -1
     order = zlinalg.image_order(factors, u, vec)
     return _primary_part(order, primary) if primary else order
 
@@ -379,7 +389,8 @@ def verify_quotient_generator(n, cls, matrix, expected_order, degree):
     only because that component is a multiple of the torsion exponent.
     """
     vec = class_vector(cls, n, degree)
-    factors, u = zlinalg.smith_normal_form(zlinalg.dedup_columns(matrix), transforms=True)
+    rows = [{j: x for j, x in enumerate(row) if x} for row in zlinalg.dedup_columns(matrix)]
+    factors, u = zlinalg.smith_form(rows, transforms=True)
     return _generator_order(factors, u, vec, expected_order) == expected_order
 
 
@@ -451,25 +462,21 @@ def cokernel_report(n, kind, check_generators=False, jobs=1):
     kind 'sym2'/'sym3': square/cube map out of the degree-2 classes;
     'h2xh4': the degree-2 times degree-4 pairing into degree 6.
     """
-    # the domain sizes come from the domains: with no rows the matrix has no width
-    h2 = len(hilb_base(n, 2))
     if kind in ("sym2", "sym3"):
         kpow = 2 if kind == "sym2" else 3
-        mat = sym_power_matrix(n, kpow, jobs=jobs)
-        domain_dim = comb(h2 + kpow - 1, kpow)
+        domain = list(combinations_with_replacement(hilb_base(n, 2), kpow))
         degree = 2 * kpow
     elif kind == "h2xh4":
-        mat = mixed_matrix(n, jobs=jobs)
-        domain_dim = h2 * len(hilb_base(n, 4))
+        domain = list(product(hilb_base(n, 2), hilb_base(n, 4)))
         degree = 6
     else:
         raise ValueError(f"unknown map kind {kind!r}; expected one of {MAP_KINDS}")
+    rows = _distinct_rows(hilb_base(n, degree), _columns(domain, n, jobs))
     generators = _known_generators(kind, n) if check_generators else []
     if generators:
         # one Smith reduction with transforms serves the cokernel and every
         # generator check
-        factors, u = zlinalg.smith_normal_form(zlinalg.dedup_columns(mat), transforms=True)
-        coker = zlinalg.CokernelStructure.from_factors(factors, len(mat))
+        factors, u = zlinalg.smith_form(rows, transforms=True)
         checks = tuple(
             GeneratorCheck(
                 name=name,
@@ -481,13 +488,13 @@ def cokernel_report(n, kind, check_generators=False, jobs=1):
             for name, cls, expected, *primary in generators
         )
     else:
-        coker = zlinalg.cokernel(mat)
+        factors = zlinalg.smith_form(rows)
         checks = ()
     return QuotientReport(
         n=n,
         map_kind=kind,
-        domain_dim=domain_dim,
-        codomain_dim=len(mat),
-        cokernel=coker,
+        domain_dim=len(domain),
+        codomain_dim=len(rows),
+        cokernel=zlinalg.CokernelStructure.from_factors(factors, len(rows)),
         generator_checks=checks,
     )

@@ -25,6 +25,7 @@ from itertools import combinations, permutations
 from math import factorial, perm
 
 from . import k3
+from .k3 import UNIT
 from .hilb_basis import an_z, canonical_class, pad_class, reduce_class
 from .partitions import cycles_of
 
@@ -294,13 +295,9 @@ def to_sn(sym, n):
     return terms, mult
 
 
-def _is_padding(cyc, label):
-    return len(cyc) == 1 and label == k3.UNIT
-
-
 def _reduced_key(pieces):
     """Sorted (length, label) pairs of a term's cycles, without (1, unit) ones."""
-    key = [(len(c), lab) for c, lab in pieces if not _is_padding(c, lab)]
+    key = [(len(c), lab) for c, lab in pieces if lab != UNIT or len(c) > 1]
     key.sort(reverse=True)
     return tuple(key)
 
@@ -323,7 +320,8 @@ def _mult_an_cached(a, b, n):
     b_arrays = _term_arrays(b_model, m)
     per_k = {}
     for t in terms:
-        k = sum(1 for c, lab in t if not _is_padding(c, lab) for v in c if v >= sb)
+        # the points from s(b) on, in one pass, outside the (1, unit) cycles
+        k = len([v for c, lab in t if lab != UNIT or len(c) > 1 for v in c if v >= sb])
         _expand(_orbit_factors(t, b_model, b_arrays), _reduced_key, per_k.setdefault(k, {}))
     mult = an_z(pad_class(a, n))
     acc = {}

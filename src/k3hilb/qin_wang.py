@@ -9,12 +9,13 @@ direction uses z and the forward base change, and always lands in integers.
 
 Products of integral classes are computed by converting to creation symbols,
 multiplying in the symmetric-group model, and converting back once at the
-end; intermediate coefficients are exact rationals.
+end; intermediate coefficients are integers over one denominator per product.
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from math import lcm, prod
 from typing import NamedTuple
 
 from .hilb_basis import (
@@ -43,14 +44,6 @@ class NonIntegralError(ArithmeticError):
     """A coefficient that must be an integer came out fractional."""
 
 
-def _as_int(value):
-    if isinstance(value, Fraction):
-        if value.denominator != 1:
-            raise NonIntegralError(f"non-integral coefficient {value}")
-        return int(value)
-    return value
-
-
 def _label_subparts(sym):
     """Split a symbol into its per-label subpartitions, labels ascending."""
     buckets = {}
@@ -63,57 +56,50 @@ def _label_subparts(sym):
 
 
 def _tensor(factor_lists):
-    """Combine per-label expansions into full symbols with multiplied weights."""
-    out = {}
+    """Combine per-label expansions into full symbols with multiplied weights;
+    the labels differ, so every combination is its own symbol."""
+    out = []
     for combo in product(*factor_lists):
-        pairs = []
-        coeff = Fraction(1)
-        for pair_list, c in combo:
-            pairs.extend(pair_list)
-            coeff *= c
-        sym = canonical_class(
-            tuple(p for p, _ in pairs), tuple(l for _, l in pairs)
-        )
-        out[sym] = out.get(sym, Fraction(0)) + coeff
-    return tuple((sym, c) for sym, c in sorted(out.items()) if c)
+        pairs = sorted((pair for pairs, _ in combo for pair in pairs), reverse=True)
+        sym = (tuple(p for p, _ in pairs), tuple(l for _, l in pairs))
+        out.append((sym, prod(c for _, c in combo)))
+    return tuple(sorted(out))
 
 
 @cache
 def _int_to_crea_items(sym):
-    factors = []
+    """(den, items): the creation coefficients of sym as integers over den, the
+    unit parts' z times the lcm of the psi_inv denominators of each H^2 label."""
+    den, factors = 1, []
     for label, parts in _label_subparts(sym):
-        pairs_of = lambda rho, lab=label: tuple((p, lab) for p in rho)
         if label == 0:
-            factors.append([(pairs_of(parts), Fraction(1, part_z(parts)))])
-        elif label == 23:
-            factors.append([(pairs_of(parts), Fraction(1))])
+            den *= part_z(parts)
+        if label in (0, 23):
+            opts = [(parts, 1)]
         else:
-            opts = []
-            for rho in part_of_weight(sum(parts)):
-                c = psi_inv(parts, rho)
-                if c:
-                    opts.append((pairs_of(rho), c))
-            factors.append(opts)
-    return _tensor(factors)
+            opts = [(rho, psi_inv(parts, rho)) for rho in part_of_weight(sum(parts))]
+            d = lcm(*(c.denominator for _, c in opts))
+            den *= d
+            opts = [(rho, c.numerator * d // c.denominator) for rho, c in opts if c]
+        factors.append([(tuple((p, label) for p in rho), c) for rho, c in opts])
+    return den, _tensor(factors)
 
 
 @cache
 def _crea_to_int_items(sym):
     factors = []
     for label, parts in _label_subparts(sym):
-        pairs_of = lambda nu, lab=label: tuple((p, lab) for p in nu)
-        if label == 0:
-            factors.append([(pairs_of(parts), Fraction(part_z(parts)))])
-        elif label == 23:
-            factors.append([(pairs_of(parts), Fraction(1))])
+        if label in (0, 23):
+            opts = [(parts, part_z(parts) if label == 0 else 1)]
         else:
-            opts = []
-            for nu in part_of_weight(sum(parts)):
-                c = psi(parts, nu)
-                if c:
-                    opts.append((pairs_of(nu), Fraction(c)))
-            factors.append(opts)
-    return tuple((sym2, _as_int(c)) for sym2, c in _tensor(factors))
+            opts = [(nu, psi(parts, nu)) for nu in part_of_weight(sum(parts))]
+        factors.append([(tuple((p, label) for p in nu), c) for nu, c in opts if c])
+    return _tensor(factors)
+
+
+def _scaled(sym, n):
+    padded = pad_class(canonical_class(*sym), n)
+    return None if padded is None else _int_to_crea_items(padded)
 
 
 def int_to_crea(sym, n):
@@ -121,10 +107,8 @@ def int_to_crea(sym, n):
 
     Exact rational coefficients; the zero class (overweight symbol) gives {}.
     """
-    padded = pad_class(canonical_class(*sym), n)
-    if padded is None:
-        return {}
-    return dict(_int_to_crea_items(padded))
+    den, items = _scaled(sym, n) or (1, ())
+    return {s: Fraction(v, den) for s, v in items}
 
 
 def crea_to_int(sym, n):
@@ -141,26 +125,39 @@ def _crea_product(acc, items, n):
         for q, vb in items:
             w = va * vb
             for e, z in mult_an(p, q, n).items():
-                out[e] = out.get(e, Fraction(0)) + w * z
+                out[e] = out.get(e, 0) + w * z
     return {e: v for e, v in out.items() if v}
 
 
-def _to_integral(acc):
+def _to_integral(acc, den):
+    """The integral coefficients of the creation class acc / den, divided exactly."""
     out = {}
     for e, v in acc.items():
         for s, c in _crea_to_int_items(e):
-            out[s] = out.get(s, Fraction(0)) + v * c
-    return {s: _as_int(v) for s, v in out.items() if v}
+            out[s] = out.get(s, 0) + v * c
+    for v in out.values():
+        if v % den:
+            raise NonIntegralError(f"non-integral coefficient {Fraction(v, den)}")
+    return {s: v // den for s, v in out.items() if v}
+
+
+def _cup(factors, n):
+    """Integer numerators in the creation basis over the product of the
+    factors' denominators, multiplied, then divided back exactly."""
+    scaled = [_scaled(f, n) for f in factors]
+    if None in scaled:
+        return {}
+    den, items = scaled[0]
+    acc = dict(items)
+    for d, items in scaled[1:]:
+        acc = _crea_product(acc, items, n)
+        den *= d
+    return _to_integral(acc, den)
 
 
 def cup_int(a, b, n):
     """Cup product of two integral classes on Hilb^n, as {symbol: int}."""
-    ia = int_to_crea(a, n)
-    ib = int_to_crea(b, n)
-    if not ia or not ib:
-        return {}
-    acc = _crea_product(ia, tuple(ib.items()), n)
-    return _to_integral(acc)
+    return _cup((a, b), n)
 
 
 def cup_int_list(factors, n):
@@ -170,15 +167,7 @@ def cup_int_list(factors, n):
     """
     if not factors:
         raise ValueError("need at least one factor")
-    acc = int_to_crea(factors[0], n)
-    for f in factors[1:]:
-        if not acc:
-            return {}
-        items = tuple(int_to_crea(f, n).items())
-        if not items:
-            return {}
-        acc = _crea_product(acc, items, n)
-    return _to_integral(acc)
+    return _cup(factors, n)
 
 
 # ---------------------------------------------------------------------------

@@ -16,27 +16,17 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 __all__ = [
+    "smith_form",
     "smith_normal_form",
     "cokernel",
     "CokernelStructure",
     "image_order",
     "form_invariants",
     "signature",
-    "identity_matrix",
-    "mat_vec",
+    "sparse_mat_vec",
     "write_matrix",
     "read_matrix",
 ]
-
-
-def identity_matrix(k):
-    return [[int(i == j) for j in range(k)] for i in range(k)]
-
-
-def mat_vec(a, v):
-    # class vectors are sparse against a dense square transform
-    support = [(j, x) for j, x in enumerate(v) if x]
-    return [sum(row[j] * x for j, x in support) for row in a]
 
 
 def _unit_pass(rows, u):
@@ -204,11 +194,13 @@ def _residual_smith(a, u):
     return [a[i][i] for i in range(limit) if a[i][i]]
 
 
-def smith_normal_form(mat, transforms=False):
-    """Invariant factors of an integer matrix, optionally with the row transform.
+def smith_form(rows, transforms=False):
+    """Invariant factors of an integer matrix given as sparse rows, optionally
+    with the row transform.
 
-    Returns the list of positive invariant factors d_1 | d_2 | ... | d_r
-    (r = rank); with transforms=True returns (factors, U) where U is
+    `rows` are {column: value} maps; they are not modified.  Returns the list
+    of positive invariant factors d_1 | d_2 | ... | d_r (r = rank); with
+    transforms=True returns (factors, U) where U, as sparse rows, is
     unimodular and U * mat * V is the diagonal Smith form for some unimodular
     V.  Column operations never touch U, so V is not built: rows r and beyond
     of U * mat vanish and d_i divides row i, which is all that the order of
@@ -220,33 +212,42 @@ def smith_normal_form(mat, transforms=False):
     transforms of its pivot rows, then those of the residual rows under the
     residual loop's transform, then those of the rows the pass zeroed.
     """
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    if any(len(row) != n for row in mat):
-        raise ValueError("ragged matrix")
-    rows = [{j: int(x) for j, x in enumerate(row) if x} for row in mat]
+    m = len(rows)
+    rows = [{j: int(x) for j, x in row.items() if x} for row in rows]
     u = [{i: 1} for i in range(m)] if transforms else None
     pivots = _unit_pass(rows, u)
     rest = [i for i, row in enumerate(rows) if row]
     cols = sorted({j for i in rest for j in rows[i]})
     residual = [[rows[i].get(j, 0) for j in cols] for i in rest]
-    u2 = identity_matrix(len(rest)) if transforms else None
+    u2 = [[int(i == j) for j in range(len(rest))] for i in range(len(rest))] if transforms else None
     factors = [1] * len(pivots) + _residual_smith(residual, u2)
     if not transforms:
         return factors
 
-    def dense(terms):
-        # the dense row sum(f * u[i] for f, i in terms)
-        row = [0] * m
+    def combine(terms):
+        # the sparse row sum(f * u[i] for f, i in terms)
+        row = {}
         for f, i in terms:
             for k, x in u[i].items():
-                row[k] += f * x
-        return row
+                row[k] = row.get(k, 0) + f * x
+        return {k: x for k, x in row.items() if x}
 
     done = set(pivots).union(rest)
-    zeroed = [[(1, i)] for i in range(m) if i not in done]
-    combined = [[(f, i) for f, i in zip(w, rest) if f] for w in u2]
-    return factors, [dense(t) for t in [[(1, i)] for i in pivots] + combined + zeroed]
+    combined = [combine([(f, i) for f, i in zip(w, rest) if f]) for w in u2]
+    zeroed = [u[i] for i in range(m) if i not in done]
+    return factors, [u[i] for i in pivots] + combined + zeroed
+
+
+def smith_normal_form(mat, transforms=False):
+    """`smith_form` of a dense matrix, given and returned (U) as lists of rows."""
+    n = len(mat[0]) if mat else 0
+    if any(len(row) != n for row in mat):
+        raise ValueError("ragged matrix")
+    result = smith_form([{j: x for j, x in enumerate(row) if x} for row in mat], transforms)
+    if not transforms:
+        return result
+    factors, u = result
+    return factors, [[row.get(k, 0) for k in range(len(mat))] for row in u]
 
 
 class CokernelStructure(NamedTuple):
@@ -285,17 +286,22 @@ def cokernel(mat):
     return CokernelStructure.from_factors(smith_normal_form(dedup_columns(mat)), len(mat))
 
 
+def sparse_mat_vec(rows, vec):
+    """The product of sparse rows {column: value} with a dense vector."""
+    return [sum(x * vec[k] for k, x in row.items()) for row in rows]
+
+
 def image_order(factors, u, vec):
     """Order of the torsion component of a vector's image in the cokernel.
 
-    `factors` and `u` are the invariant factors and row transform from
-    `smith_normal_form(..., transforms=True)`.  Returns 0 (infinite) if the
+    `factors` and `u` are the invariant factors and the sparse row transform
+    from `smith_form(..., transforms=True)`.  Returns 0 (infinite) if the
     image has a free component that is not a multiple of the torsion exponent
     (in particular any nonzero one when there is no torsion); otherwise the
     torsion component is independent of the choice of splitting, and its
     exact order is returned.
     """
-    w = mat_vec(u, vec)
+    w = sparse_mat_vec(u, vec)
     r = len(factors)
     torsion = [(d, w[i]) for i, d in enumerate(factors) if d > 1]
     exponent = torsion[-1][0] if torsion else 1

@@ -7,7 +7,9 @@ dimensions from a truncated two-variable product series, symbol products
 from the fully naive double symmetrization or from all conjugates at the full
 ambient, symbol conjugates by skip-and-retry enumeration, the orbit product
 of two terms from permutation tuples, the creation pairing from symbol
-products, integer ranks from sparse elimination over one large prime field
+products, the integral base change and integral products through exact
+Fractions, cokernel reports through the dense matrix views and a dense row
+transform, integer ranks from sparse elimination over one large prime field
 (the Smith form only settles a rank-deficient case), and signatures by
 rational congruence diagonalization.
 """
@@ -356,6 +358,85 @@ def full_ambient_mult_an(a, b, n):
     return {s: v for s, v in acc.items() if v}
 
 
+# ---------------------------------------------------------------------------
+# integral base change and products through Fractions
+
+
+def _label_subparts(sym):
+    buckets = {}
+    for p, l in zip(*sym):
+        buckets.setdefault(l, []).append(p)
+    return [(label, tuple(sorted(parts, reverse=True))) for label, parts in sorted(buckets.items())]
+
+
+def _fraction_tensor(factor_lists):
+    from k3hilb.hilb_basis import canonical_class
+
+    out = {}
+    for combo in product(*factor_lists):
+        pairs = []
+        coeff = Fraction(1)
+        for pair_list, c in combo:
+            pairs.extend(pair_list)
+            coeff *= c
+        sym = canonical_class(tuple(p for p, _ in pairs), tuple(l for _, l in pairs))
+        out[sym] = out.get(sym, Fraction(0)) + coeff
+    return {sym: c for sym, c in out.items() if c}
+
+
+def _fraction_base_change(sym, inverse):
+    from k3hilb.partitions import part_of_weight, part_z
+    from k3hilb.symfunc import psi, psi_inv
+
+    factors = []
+    for label, parts in _label_subparts(sym):
+        pairs_of = lambda rho, lab=label: tuple((p, lab) for p in rho)
+        if label == 0:
+            z = part_z(parts)
+            factors.append([(pairs_of(parts), Fraction(1, z) if inverse else Fraction(z))])
+        elif label == 23:
+            factors.append([(pairs_of(parts), Fraction(1))])
+        else:
+            opts = []
+            for rho in part_of_weight(sum(parts)):
+                c = psi_inv(parts, rho) if inverse else Fraction(psi(parts, rho))
+                if c:
+                    opts.append((pairs_of(rho), c))
+            factors.append(opts)
+    return _fraction_tensor(factors)
+
+
+def int_to_crea_by_fractions(sym, n):
+    """Creation coefficients of an integral-basis symbol at n, as {symbol: Fraction}:
+    1/z on the unit parts, psi_inv on each H^2 label, accumulated in Fractions."""
+    from k3hilb.hilb_basis import canonical_class, pad_class
+
+    padded = pad_class(canonical_class(*sym), n)
+    return {} if padded is None else _fraction_base_change(padded, True)
+
+
+def crea_to_int_by_fractions(sym, n):
+    """Integral coefficients of a creation symbol at n, as {symbol: Fraction}."""
+    from k3hilb.hilb_basis import canonical_class, pad_class
+
+    padded = pad_class(canonical_class(*sym), n)
+    return {} if padded is None else _fraction_base_change(padded, False)
+
+
+def cup_int_by_fractions(a, b, n):
+    """The integral product with every coefficient a Fraction until the end."""
+    from k3hilb.lehn_sorger import mult_an
+
+    acc = {}
+    for p, va in int_to_crea_by_fractions(a, n).items():
+        for q, vb in int_to_crea_by_fractions(b, n).items():
+            for e, z in mult_an(p, q, n).items():
+                for s, c in crea_to_int_by_fractions(e, n).items():
+                    acc[s] = acc.get(s, Fraction(0)) + va * vb * z * c
+    assert all(v.denominator == 1 for v in acc.values())
+    return {s: int(v) for s, v in acc.items() if v}
+
+
 def direct_middle_gram(n):
     """The middle Gram matrix of Hilb^n from every pairwise integral product.
 
@@ -625,3 +706,75 @@ def assert_smith_row_transform(mat, factors, u):
 def perm_count_of_cycle_type(lam, n):
     """Number of permutations in S_n with the given cycle type, by enumeration."""
     return sum(1 for p in permutations(range(n)) if cycle_type(p) == lam)
+
+
+# ---------------------------------------------------------------------------
+# dense matrices and row transforms
+
+
+def identity_matrix(k):
+    return [[int(i == j) for j in range(k)] for i in range(k)]
+
+
+def mat_vec(a, v):
+    """Dense matrix times vector, over the vector's support."""
+    support = [(j, x) for j, x in enumerate(v) if x]
+    return [sum(row[j] * x for j, x in support) for row in a]
+
+
+def dense_image_order(factors, u, vec):
+    """The order of the torsion component of vec's image in the cokernel, from
+    a dense row transform u; 0 when it has a free component that is not a
+    multiple of the torsion exponent."""
+    w = mat_vec(u, vec)
+    r = len(factors)
+    torsion = [(d, w[i]) for i, d in enumerate(factors) if d > 1]
+    exponent = torsion[-1][0] if torsion else 1
+    free_gcd = gcd(*w[r:])
+    if free_gcd and (exponent == 1 or free_gcd % exponent):
+        return 0
+    order = 1
+    for d, wi in torsion:
+        rem = wi % d
+        g = d // gcd(d, rem if rem else d)
+        order = order * g // gcd(order, g)
+    return order
+
+
+def dense_cokernel_report(n, kind, check_generators=False):
+    """`analysis.cokernel_report` through the dense matrix views: the full
+    matrix, `dedup_columns`, the dense Smith form with a dense U, and orders
+    from dense U * v."""
+    from k3hilb import analysis, zlinalg
+    from k3hilb.hilb_basis import hilb_base
+
+    h2 = len(hilb_base(n, 2))
+    if kind == "h2xh4":
+        mat, domain_dim, degree = analysis.mixed_matrix(n), h2 * len(hilb_base(n, 4)), 6
+    else:
+        kpow = 2 if kind == "sym2" else 3
+        mat, domain_dim, degree = analysis.sym_power_matrix(n, kpow), comb(h2 + kpow - 1, kpow), 2 * kpow
+    generators = analysis._known_generators(kind, n) if check_generators else []
+    mat_d = zlinalg.dedup_columns(mat)
+    if not generators:
+        factors = zlinalg.smith_normal_form(mat_d)
+    else:
+        factors, u = zlinalg.smith_normal_form(mat_d, transforms=True)
+    checks = []
+    for name, cls, expected, *primary in generators:
+        vec = analysis.class_vector(cls, n, degree)
+        if expected == 0:
+            order = 0 if gcd(*mat_vec(u, vec)[len(factors) :]) == 1 else -1
+        else:
+            order = dense_image_order(factors, u, vec)
+            if primary:
+                order = analysis._primary_part(order, primary[0])
+        checks.append(analysis.GeneratorCheck(name=name, expected_order=expected, order=order))
+    return analysis.QuotientReport(
+        n=n,
+        map_kind=kind,
+        domain_dim=domain_dim,
+        codomain_dim=len(mat),
+        cokernel=zlinalg.CokernelStructure.from_factors(factors, len(mat)),
+        generator_checks=tuple(checks),
+    )

@@ -261,6 +261,22 @@ def test_bns_signature():
     assert bns_form_signature() == 17
 
 
+def test_distinct_rows_equal_dense_dedup():
+    # zero, repeated and distinct sparse columns against the dense views
+    rng = random.Random(41)
+    rows = hilb_base(2, 4)
+    for _ in range(100):
+        pool = [{}] + [
+            {rng.choice(rows): rng.choice((1, -1, 2, -6)) for _ in range(rng.randint(1, 4))}
+            for _ in range(4)
+        ]
+        cols = [dict(rng.choice(pool)) for _ in range(rng.randint(0, 12))]
+        dense = zlinalg.dedup_columns(analysis._assemble(rows, cols))
+        assert analysis._distinct_rows(rows, cols) == [
+            {j: x for j, x in enumerate(row) if x} for row in dense
+        ]
+
+
 def test_mixed_matrix_shape():
     m = mixed_matrix(2)
     assert len(m) == 23

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from k3hilb import analysis
 from k3hilb.cli import run
 from k3hilb.hilb_basis import canonical_class, parse_class
+import oracles
 
 
 def invoke(*argv):
@@ -113,6 +115,25 @@ def test_cokernel_text():
 )
 def test_cokernel_generator_checks_stdout_pinned(argv, stdout):
     assert invoke(*argv) == (0, stdout)
+
+
+@pytest.mark.parametrize("kind", ["sym2", "sym3", "h2xh4"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cokernel_output_matches_dense_path(n, kind, monkeypatch):
+    # distinct sparse columns into the Smith form and U as sparse rows print
+    # exactly what the dense matrix, dedup_columns and a dense U print
+    for flags in ((), ("--check-generators",)):
+        argv = ("cokernel", "--n", str(n), "--map", kind) + flags
+        sparse = analysis.cokernel_report(n, kind, check_generators=bool(flags))
+        dense = oracles.dense_cokernel_report(n, kind, check_generators=bool(flags))
+        assert sparse == dense
+        printed = []
+        for report in (sparse, dense):
+            monkeypatch.setattr(analysis, "cokernel_report", lambda *a, r=report, **k: r)
+            printed.append((invoke(*argv), invoke("--json", *argv)))
+        monkeypatch.undo()
+        assert printed[0] == printed[1]
+        assert printed[0][0][0] == printed[0][1][0] == 0
 
 
 def test_cokernel_json():

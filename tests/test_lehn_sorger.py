@@ -343,6 +343,8 @@ def test_cup_int_hilb8_matches_full_ambient_products(monkeypatch):
         (pick(2, False), pick(8, True)),
     ]
     fast = [cup_int(a, b, 8) for a, b in pairs]
+    # the integer base change against one in Fractions
+    assert [oracles.cup_int_by_fractions(a, b, 8) for a, b in pairs] == fast
     monkeypatch.setattr(qin_wang, "mult_an", oracles.full_ambient_mult_an)
     assert [cup_int(a, b, 8) for a, b in pairs] == fast
     assert all(fast)

@@ -13,6 +13,7 @@ from k3hilb.qin_wang import (
     int_to_crea,
 )
 from k3hilb.symfunc import psi, psi_inv
+import oracles
 
 c = canonical_class
 
@@ -279,9 +280,56 @@ def test_cup_universal_unit():
 
 
 def test_non_integral_error_surface():
-    from k3hilb.qin_wang import NonIntegralError, _as_int
+    # the product's exact division by its denominator is where a fractional
+    # coefficient would surface
+    from k3hilb.qin_wang import NonIntegralError, _crea_to_int_items, _int_to_crea_items, _to_integral
 
-    assert _as_int(Fraction(6, 2)) == 3
-    assert _as_int(7) == 7
+    e = c((2, 1, 1), (5, 5, 0))
+    back = dict(_crea_to_int_items(e))
+    assert _to_integral({e: 6}, 3) == {s: 2 * v for s, v in back.items()}
+    assert _to_integral({e: 7}, 7) == back
+    assert _to_integral({}, 5) == {}
     with pytest.raises(NonIntegralError):
-        _as_int(Fraction(1, 2))
+        _to_integral({e: 1}, 2)
+    # an integral class, expanded and converted back
+    sym = c((2, 1, 1), (0, 5, 5))
+    den, items = _int_to_crea_items(sym)
+    assert den == 4  # z of the unit part (2) times the 1/2 of m_(1,1) = (p_1^2 - p_2) / 2
+    assert _to_integral(dict(items), den) == {sym: 1}
+    with pytest.raises(NonIntegralError):
+        _to_integral(dict(items), 2 * den)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_base_change_matches_fraction_oracle_full_bases(n):
+    for d in range(0, 4 * n + 1, 2):
+        for sym in hilb_base(n, d):
+            assert int_to_crea(sym, n) == oracles.int_to_crea_by_fractions(sym, n), sym
+            assert crea_to_int(sym, n) == oracles.crea_to_int_by_fractions(sym, n), sym
+            assert all(type(v) is int for v in crea_to_int(sym, n).values())
+
+
+def _random_symbol(rng, n):
+    """A random symbol of weight <= n, its labels drawn from a few K3 indices
+    so that H^2 labels repeat."""
+    palette = [0, 23] + rng.sample(range(1, 23), 2)
+    parts, left = [], rng.randint(1, n)
+    while left:
+        parts.append(rng.randint(1, left))
+        left -= parts[-1]
+    return c(parts, [rng.choice(palette) for _ in parts])
+
+
+def test_base_change_matches_fraction_oracle_random():
+    from k3hilb.qin_wang import _int_to_crea_items
+
+    rng = random.Random(29)
+    for _ in range(200):
+        n = rng.randint(5, 8)
+        sym = _random_symbol(rng, n)
+        want = oracles.int_to_crea_by_fractions(sym, n)
+        assert int_to_crea(sym, n) == want, sym
+        assert crea_to_int(sym, n) == oracles.crea_to_int_by_fractions(sym, n), sym
+        # one denominator: every coefficient times it is an integer
+        den, _ = _int_to_crea_items(pad_class(sym, n))
+        assert all((v * den).denominator == 1 for v in want.values())

@@ -11,15 +11,16 @@ from k3hilb.zlinalg import (
     cokernel,
     dedup_columns,
     form_invariants,
-    identity_matrix,
     image_order,
     read_matrix,
     signature,
+    smith_form,
     smith_normal_form,
+    sparse_mat_vec,
     write_matrix,
 )
 import oracles
-from oracles import det
+from oracles import det, identity_matrix
 
 
 def test_snf_examples():
@@ -146,6 +147,52 @@ def test_snf_random_sparse_matrices(mat):
     oracles.assert_smith_row_transform(mat, factors, u)
 
 
+def _sparse_test_matrix(rng):
+    """A small random integer matrix, its zero rows, zero columns and duplicate
+    columns spliced in: returns (base, padded) as dense lists of rows."""
+    m, n = rng.randint(1, 5), rng.randint(1, 5)
+    entries = [0, 0, 0, 1, -1, 1, -1, 2, -3, 4, 6, -9]
+    base = [[rng.choice(entries) for _ in range(n)] for _ in range(m)]
+    cols = [list(col) for col in zip(*base)]
+    for _ in range(rng.randint(0, 3)):
+        extra = [0] * m if rng.random() < 0.4 or not cols else list(rng.choice(cols))
+        cols.insert(rng.randint(0, len(cols)), extra)
+    padded = [list(row) for row in zip(*cols)]
+    for _ in range(rng.randint(0, 2)):
+        padded.insert(rng.randint(0, len(padded)), [0] * len(cols))
+    return base, padded
+
+
+def test_smith_form_sparse_rows_random():
+    # zero rows, zero columns and repeated columns change no invariant factor,
+    # so the factors of the padded matrix are those of the small base one,
+    # certified by its minors
+    rng = random.Random(13)
+    for _ in range(500):
+        base, mat = _sparse_test_matrix(rng)
+        rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
+        copy = [dict(row) for row in rows]
+        factors, u = smith_form(rows, transforms=True)
+        assert rows == copy
+        assert smith_form(rows) == factors == smith_normal_form(base)
+        oracles.assert_smith_factors(base, factors)
+        assert all(set(row) <= set(range(len(mat))) and all(row.values()) for row in u)
+        dense_u = [[row.get(k, 0) for k in range(len(mat))] for row in u]
+        assert smith_normal_form(mat, transforms=True) == (factors, dense_u)
+        # |det U| = 1, rows r... of U*A vanish and d_i divides row i
+        oracles.assert_smith_row_transform(mat, factors, dense_u)
+        for _ in range(3):
+            vec = [rng.choice((0, 0, 1, -1, 2, 3)) for _ in mat]
+            assert sparse_mat_vec(u, vec) == oracles.mat_vec(dense_u, vec)
+            assert image_order(factors, u, vec) == oracles.dense_image_order(factors, dense_u, vec)
+
+
+def test_smith_form_empty_and_zero_rows():
+    assert smith_form([]) == []
+    assert smith_form([{}, {}], transforms=True) == ([], [{0: 1}, {1: 1}])
+    assert smith_form([{3: 0}, {5: 2}], transforms=True) == ([2], [{1: 1}, {0: 1}])
+
+
 def test_cokernel_examples():
     free3 = cokernel([[] for _ in range(3)])
     assert free3 == CokernelStructure(torsion=(), free_rank=3)
@@ -162,7 +209,8 @@ def test_dedup_columns():
 
 
 def order_in_cokernel(mat, vec):
-    factors, u = smith_normal_form(dedup_columns(mat), transforms=True)
+    rows = [{j: x for j, x in enumerate(row) if x} for row in dedup_columns(mat)]
+    factors, u = smith_form(rows, transforms=True)
     return image_order(factors, u, vec)
 
 
