@@ -17,7 +17,7 @@ rational congruence diagonalization.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import comb, factorial, gcd, prod
+from math import comb, factorial, gcd, lcm, prod
 
 
 # ---------------------------------------------------------------------------
@@ -736,8 +736,7 @@ def dense_image_order(factors, u, vec):
     order = 1
     for d, wi in torsion:
         rem = wi % d
-        g = d // gcd(d, rem if rem else d)
-        order = order * g // gcd(order, g)
+        order = lcm(order, d // gcd(d, rem if rem else d))
     return order
 
 
