@@ -12,9 +12,12 @@ symbols carry no (1, unit) padding pairs.
 """
 
 from functools import cache
+from itertools import combinations_with_replacement, groupby, product
 
 from . import k3
-from .partitions import format_partition
+from .partitions import format_partition, part_of_weight
+
+_H2_DOWN = k3.H2_INDICES[::-1]
 
 __all__ = [
     "canonical_class",
@@ -24,11 +27,9 @@ __all__ = [
     "pad_class",
     "reduce_class",
     "an_sort_key",
-    "hilb_operators",
     "hilb_base",
     "parse_class",
     "format_class",
-    "check_reduced_weight_bounds",
     "ClassSyntaxError",
 ]
 
@@ -103,48 +104,64 @@ def an_sort_key(sym):
     return (sum(parts), parts, labels)
 
 
-@cache
-def _operators(n, d, max_size, max_label):
-    """Weakly decreasing (size, label) sequences of total weight n, degree d."""
-    if n == 0:
-        return ((),) if d == 0 else ()
-    if n < 0 or d < 0 or d % 2:
-        return ()
-    out = []
-    for size in range(min(n, max_size), 0, -1):
-        top_label = max_label if size == max_size else 23
-        for label in range(top_label, -1, -1):
-            rest_deg = d - (2 * (size - 1) + k3.deg(label))
-            if rest_deg < 0:
-                continue
-            for rest in _operators(n - size, rest_deg, size, label):
-                out.append(((size, label),) + rest)
-    return tuple(out)
+def _shapes(n, d):
+    """Cycle types of Hilb^n that carry classes of degree d, sorted as tuples.
 
-
-def hilb_operators(n, d):
-    """All multisets of (part size, label) of weight n and degree d.
-
-    Returned canonically sorted (pairs descending), without duplicates.
+    A shape of length l = n - e spends 2e of the degree on its parts and
+    leaves d - 2e for the labels, at most 4 per part; so e <= d/2 and
+    e <= (4n - d)/2.  Each shape is built from a partition mu of e: add 1 to
+    every part and pad with 1s.
     """
-    return _operators(n, d, n, 23)
+    out = []
+    for e in range(min(d, 4 * n - d) // 2 + 1):
+        for mu in part_of_weight(e):
+            if len(mu) <= n - e:
+                out.append(tuple(m + 1 for m in mu) + (1,) * (n - e - len(mu)))
+    out.sort()
+    return out
+
+
+def _group_labels(count, budget):
+    """Weakly decreasing labels of `count` equal parts with label degree `budget`."""
+    out = []
+    for c23 in range(min(count, budget // 4), -1, -1):
+        c2 = budget // 2 - 2 * c23
+        if c23 + c2 > count:
+            break
+        head = (k3.POINT,) * c23
+        tail = (k3.UNIT,) * (count - c23 - c2)
+        mids = combinations_with_replacement(_H2_DOWN, c2)
+        out.extend(head + mid + tail for mid in mids)
+    return out
+
+
+def _labels(counts, budget):
+    """Labels of groups of `counts` equal parts that share label degree `budget`."""
+    if not counts:
+        return [()] if budget == 0 else []
+    first, rest = counts[0], counts[1:]
+    out = []
+    for b in range(max(0, budget - 4 * sum(rest)), min(budget, 4 * first) + 1, 2):
+        pairs = product(_group_labels(first, b), _labels(rest, budget - b))
+        out.extend(head + tail for head, tail in pairs)
+    return out
 
 
 @cache
 def hilb_base(n, d):
-    """The degree-d basis symbols for Hilb^n, in canonical order."""
-    syms = [
-        (tuple(p for p, _ in op), tuple(l for _, l in op))
-        for op in hilb_operators(n, d)
-    ]
-    return tuple(sorted(syms, key=an_sort_key))
+    """The degree-d basis symbols for Hilb^n, in canonical order.
 
-
-def check_reduced_weight_bounds(sym):
-    """Weight window for reduced symbols: deg/4 <= weight <= deg."""
-    w = an_weight(sym)
-    d = deg(sym)
-    return d <= 4 * w and w <= d
+    Shapes come in ascending order; within a shape the labels are the
+    products of per-group label multisets, sorted as plain tuples.
+    """
+    if d % 2:
+        return ()
+    out = []
+    for parts in _shapes(n, d):
+        counts = [len(list(g)) for _, g in groupby(parts)]
+        labels = sorted(_labels(counts, d - 2 * (n - len(parts))))
+        out.extend((parts, l) for l in labels)
+    return tuple(out)
 
 
 def format_class(sym):

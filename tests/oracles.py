@@ -2,8 +2,9 @@
 
 Everything here is deliberately implemented from first principles, without
 calling into the code paths under test: partition counts from the pentagonal
-recurrence, base-change coefficients from brute polynomial expansion, basis
-dimensions from a truncated two-variable product series, symbol products
+recurrence, basis symbols by a memoized recursion over operator sequences,
+base-change coefficients from brute polynomial expansion, basis dimensions
+from a truncated two-variable product series, symbol products
 from the fully naive double symmetrization or from all conjugates at the full
 ambient, symbol conjugates by skip-and-retry enumeration, the orbit product
 of two terms from permutation tuples, the creation pairing from symbol
@@ -87,6 +88,56 @@ def psi_by_expansion(lam, mu):
         poly = new
     target = tuple(mu) + (0,) * (nvars - len(mu))
     return poly.get(target, 0)
+
+
+# ---------------------------------------------------------------------------
+# basis symbols: recursion over (size, label) operator sequences
+
+
+@lru_cache(maxsize=None)
+def _operators(n, d, max_size, max_label):
+    """Weakly decreasing (size, label) sequences of total weight n, degree d."""
+    from k3hilb import k3
+
+    if n == 0:
+        return ((),) if d == 0 else ()
+    if n < 0 or d < 0 or d % 2:
+        return ()
+    out = []
+    for size in range(min(n, max_size), 0, -1):
+        top_label = max_label if size == max_size else 23
+        for label in range(top_label, -1, -1):
+            rest_deg = d - (2 * (size - 1) + k3.deg(label))
+            if rest_deg < 0:
+                continue
+            for rest in _operators(n - size, rest_deg, size, label):
+                out.append(((size, label),) + rest)
+    return tuple(out)
+
+
+def hilb_operators(n, d):
+    """All multisets of (part size, label) of weight n and degree d.
+
+    Returned canonically sorted (pairs descending), without duplicates.
+    """
+    return _operators(n, d, n, 23)
+
+
+def operator_symbols(n, d):
+    """The symbols of `hilb_operators(n, d)` in enumeration order, unsorted."""
+    return [
+        (tuple(p for p, _ in op), tuple(l for _, l in op))
+        for op in hilb_operators(n, d)
+    ]
+
+
+def check_reduced_weight_bounds(sym):
+    """Weight window for reduced symbols: deg/4 <= weight <= deg."""
+    from k3hilb.hilb_basis import an_weight, deg
+
+    w = an_weight(sym)
+    d = deg(sym)
+    return d <= 4 * w and w <= d
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,30 @@
+import time
+
 import pytest
 from hypothesis import given, strategies as st
 
 from k3hilb.hilb_basis import (
     ClassSyntaxError,
+    an_sort_key,
     an_z,
     canonical_class,
-    check_reduced_weight_bounds,
     deg,
     format_class,
     hilb_base,
-    hilb_operators,
     pad_class,
     parse_class,
     reduce_class,
 )
 import oracles
+from oracles import check_reduced_weight_bounds, hilb_operators
+
+
+@pytest.fixture
+def fresh_caches():
+    """Drop the large bases and operator tables a test built, once it is done."""
+    yield
+    hilb_base.cache_clear()
+    oracles._operators.cache_clear()
 
 
 def test_deg():
@@ -54,8 +64,8 @@ def test_hilb_base_counts_match_paper():
     ]
 
 
-def test_hilb_base_counts_match_series_oracle():
-    series = oracles.hilb_betti_series(6)
+def test_hilb_base_counts_match_series_oracle(fresh_caches):
+    series = oracles.hilb_betti_series(8)
     for n in range(4):
         degrees = sorted(series[n])
         assert degrees == sorted(
@@ -63,9 +73,61 @@ def test_hilb_base_counts_match_series_oracle():
         )
         for d in degrees:
             assert len(hilb_base(n, d)) == series[n][d]
-    for n in (4, 5, 6):
-        for d in range(0, 9):
+    for n in range(4, 9):
+        for d in range(0, 11):
             assert len(hilb_base(n, d)) == series[n].get(d, 0)
+    # the middle degrees
+    assert len(hilb_base(4, 8)) == 19298
+    assert len(hilb_base(5, 10)) == 125604
+
+
+def _oracle_base(n, d):
+    expected = tuple(sorted(oracles.operator_symbols(n, d), key=an_sort_key))
+    oracles._operators.cache_clear()
+    return expected
+
+
+# (6, 12) has 727,606 symbols; the oracle's memo takes ~0.5 GiB and seconds
+# there, so the default tier checks that degree by order, validity and count
+# and the stretch tier compares it with the oracle
+ORACLE_CASES = [
+    (n, d) for n in range(7) for d in range(-2, 4 * n + 3) if (n, d) != (6, 12)
+] + [(8, d) for d in (2, 4, 6, 8)]
+
+
+def test_hilb_base_matches_operator_oracle(fresh_caches):
+    for n, d in ORACLE_CASES:
+        assert hilb_base(n, d) == _oracle_base(n, d), (n, d)
+        hilb_base.cache_clear()
+
+
+def test_hilb_base_middle_n6_sorted_valid_and_complete(fresh_caches):
+    # strictly increasing, and all of weight 6, degree 12 and canonical: a set
+    # of valid symbols as large as the whole basis is the whole basis
+    basis = hilb_base(6, 12)
+    assert len(basis) == oracles.hilb_betti_series(6)[6][12] == 727606
+    assert all(a < b for a, b in zip(basis, basis[1:]))
+    assert all(sum(parts) == 6 for parts in {s[0] for s in basis})
+    for parts, labels in basis:
+        pairs = list(zip(parts, labels))
+        assert len(pairs) == len(labels) and pairs == sorted(pairs, reverse=True)
+        h2, points = len(labels) - labels.count(0) - labels.count(23), labels.count(23)
+        assert 0 <= min(labels) and max(labels) <= 23
+        assert 2 * (6 - len(parts)) + 2 * h2 + 4 * points == 12
+
+
+@pytest.mark.stretch
+def test_hilb_base_middle_n6_matches_operator_oracle_stretch(fresh_caches):
+    assert hilb_base(6, 12) == _oracle_base(6, 12)
+
+
+def test_hilb_base_prunes_by_degree():
+    # only the 4 shapes of 60 with n - len <= 2 are built, not all p(60)
+    start = time.perf_counter()
+    basis = hilb_base(60, 4)
+    assert time.perf_counter() - start < 0.5
+    assert len(basis) == 300
+    assert {s[0][:3] for s in basis} == {(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 1, 1)}
 
 
 def test_hilb_base_sorted_and_canonical():
