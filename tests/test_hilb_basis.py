@@ -109,10 +109,11 @@ def test_hilb_base_middle_n6_sorted_valid_and_complete(fresh_caches):
     assert all(a < b for a, b in zip(basis, basis[1:]))
     assert all(sum(parts) == 6 for parts in {s[0] for s in basis})
     for parts, labels in basis:
+        assert len(parts) == len(labels) and 0 <= min(labels) and max(labels) <= 23
         pairs = list(zip(parts, labels))
-        assert len(pairs) == len(labels) and pairs == sorted(pairs, reverse=True)
-        h2, points = len(labels) - labels.count(0) - labels.count(23), labels.count(23)
-        assert 0 <= min(labels) and max(labels) <= 23
+        assert pairs == sorted(pairs, reverse=True)
+        points = labels.count(23)
+        h2 = len(labels) - labels.count(0) - points
         assert 2 * (6 - len(parts)) + 2 * h2 + 4 * points == 12
 
 
@@ -124,7 +125,7 @@ def test_hilb_base_middle_n6_matches_operator_oracle_stretch(fresh_caches):
 def test_hilb_base_prunes_by_degree():
     # only the 4 shapes of 60 with n - len <= 2 are built, not all p(60)
     start = time.perf_counter()
-    basis = hilb_base(60, 4)
+    basis = hilb_base.__wrapped__(60, 4)
     assert time.perf_counter() - start < 0.5
     assert len(basis) == 300
     assert {s[0][:3] for s in basis} == {(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 1, 1)}
