@@ -15,6 +15,7 @@ from . import analysis
 from .hilb_basis import (
     ClassSyntaxError,
     an_sort_key,
+    betti,
     canonical_class,
     format_class,
     hilb_base,
@@ -24,6 +25,7 @@ from .qin_wang import cup_int, cup_universal
 
 MAX_PRODUCT_N = 8
 MAX_LATTICE_N = 4
+MAX_BASIS = 1_000_000
 
 
 class UsageError(Exception):
@@ -66,6 +68,9 @@ def _check_n(n, limit, force, what):
 
 def cmd_basis(args, out):
     _check_n(args.n, MAX_PRODUCT_N, args.force, "basis")
+    count = betti(args.n, args.deg)
+    if count > MAX_BASIS and not args.force:
+        raise UsageError(f"basis: {count} classes exceed the limit {MAX_BASIS}; pass --force")
     basis = hilb_base(args.n, args.deg)
     if args.json:
         json.dump(

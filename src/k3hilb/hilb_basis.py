@@ -28,6 +28,7 @@ __all__ = [
     "reduce_class",
     "an_sort_key",
     "hilb_base",
+    "betti",
     "parse_class",
     "format_class",
     "ClassSyntaxError",
@@ -162,6 +163,23 @@ def hilb_base(n, d):
         labels = sorted(_labels(counts, d - 2 * (n - len(parts))))
         out.extend((parts, l) for l in labels)
     return tuple(out)
+
+
+def betti(n, d):
+    """len(hilb_base(n, d)) without building the basis, from Goettsche's series
+    prod_m (1 - t^(2m-2) q^m)^-1 (1 - t^(2m) q^m)^-22 (1 - t^(2m+2) q^m)^-1."""
+    if d % 2 or not 0 <= d <= 4 * n:
+        return 0
+    h = min(d, 4 * n - d) // 2  # Poincare duality
+    c = [[0] * (h + 1) for _ in range(n + 1)]  # c[w][e]: coefficient of q^w t^2e
+    c[0][0] = 1
+    for m in range(1, n + 1):
+        for shift, power in ((m - 1, 1), (m, 22), (m + 1, 1)):
+            for _ in range(power if shift <= h else 0):
+                for w in range(m, n + 1):  # times 1 / (1 - t^(2 shift) q^m), in place
+                    for e in range(shift, h + 1):
+                        c[w][e] += c[w - m][e - shift]
+    return c[n][h]
 
 
 def format_class(sym):

@@ -3,14 +3,13 @@ signature and determinant of symmetric forms.
 
 Matrices are plain lists of rows of Python integers, so nothing ever
 overflows; nothing beyond the standard library is imported.  The Smith
-reduction first eliminates the +-1 entries of the sparse cup-product
-matrices, cheapest first, and then reduces the small residual with pivots
-of least absolute value.  A symmetric form given as sparse rows gets its
-signature and determinant together, from one fraction-free elimination
-per connected block.
+reduction is one elimination over sparse rows: the +-1 entries of the
+sparse cup-product matrices first, cheapest first, then pivots of least
+absolute value.  A symmetric form given as sparse rows gets its signature
+and determinant together, from one fraction-free elimination per connected
+block.
 """
 
-import re
 from heapq import heappop, heappush
 from math import gcd, lcm
 from typing import NamedTuple
@@ -24,174 +23,122 @@ __all__ = [
     "form_invariants",
     "signature",
     "sparse_mat_vec",
-    "write_matrix",
-    "read_matrix",
 ]
 
 
-def _unit_pass(rows, u):
-    """Eliminate with unit pivots, cheapest first by Markowitz cost, in place.
+def _eliminate(rows, u):
+    """Smith-reduce sparse rows in place; returns the pivots as (row, factor).
 
     `rows` are sparse rows {column: value} and `u` their sparse row transforms
-    (or None).  A pivot at a +-1 entry (i, j) of cost (row nonzeros - 1) *
-    (column nonzeros - 1) clears column j from every other row; row i is then
-    emptied, since column operations with column j would clear the rest of it
-    and change no row still in play.  Returns the pivot rows in order; their
-    invariant factors are all 1, and the rows left nonzero are the residual.
+    (or None); only row operations are mirrored on `u`.  Pivots at +-1 entries
+    come first, cheapest first by Markowitz cost (row nonzeros - 1) * (column
+    nonzeros - 1) (Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001);
+    then the least entry in absolute value, cheapest first, reduced until it
+    divides every entry left: row operations clear its column and column
+    operations its row, a remainder of either becomes the pivot, and a row with
+    an entry the pivot does not divide is added to the pivot row.  The settled
+    pivot's row is emptied, since column operations would clear it and change
+    no row still in play.  The factors come out as a divisibility chain.
     """
     cols = {}
     for i, row in enumerate(rows):
         for j in row:
             cols.setdefault(j, set()).add(i)
+    live = {i for i, row in enumerate(rows) if row}
     heap = []
+    dirty = set()
+
+    def cost(i, j):
+        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
 
     def push(i, j):
         if rows[i][j] in (1, -1):
-            heappush(heap, ((len(rows[i]) - 1) * (len(cols[j]) - 1), i, j))
+            heappush(heap, (cost(i, j), i, j))
+
+    def add_row(k, i, f):
+        # row k += f * row i, on the rows and on u
+        dirty.add(k)
+        row = rows[k]
+        for c, x in rows[i].items():
+            y = row.get(c, 0) + f * x
+            if y:
+                row[c] = y
+                cols[c].add(k)
+            else:
+                del row[c]
+                cols[c].discard(k)
+        if not row:
+            live.discard(k)
+        if u is not None:
+            uk = u[k]
+            for c, x in u[i].items():
+                y = uk.get(c, 0) + f * x
+                if y:
+                    uk[c] = y
+                else:
+                    del uk[c]
+
+    def settle(i, j):
+        # reduce the pivot (i, j) until it divides every entry left
+        while True:
+            p = rows[i][j]
+            rest = [k for k in cols[j] if k != i]
+            for k in rest:
+                q = rows[k][j] // p
+                if q:
+                    add_row(k, i, -q)
+            rest = [k for k in rest if j in rows[k]]
+            if rest:
+                i = min(rest, key=lambda k: abs(rows[k][j]))
+                continue
+            if p in (1, -1):
+                return i, 1
+            row = rows[i]
+            for c in [c for c in row if c != j]:
+                # column c -= (row[c] // p) * column j, which meets no other row
+                r = row[c] % p
+                if r:
+                    row[c] = r
+                else:
+                    del row[c]
+                    cols[c].discard(i)
+            if len(row) > 1:
+                j = min((c for c in row if c != j), key=lambda c: abs(row[c]))
+                continue
+            k = next((k for k in live if k != i and any(x % p for x in rows[k].values())), None)
+            if k is None:
+                return i, abs(p)
+            add_row(i, k, 1)
 
     for i, row in enumerate(rows):
         for j in row:
             push(i, j)
     pivots = []
-    while heap:
-        cost, i, j = heappop(heap)
+    while True:
+        if heap:
+            c, i, j = heappop(heap)
+            if rows[i].get(j) not in (1, -1) or c != cost(i, j):
+                continue  # stale: a later push or the scan below finds it
+        elif live:
+            least = min(abs(x) for k in live for x in rows[k].values())
+            ties = ((k, c) for k in live for c, x in rows[k].items() if abs(x) == least)
+            _, i, j = min((cost(k, c), k, c) for k, c in ties)
+        else:
+            return pivots
+        dirty.clear()
+        i, d = settle(i, j)
+        pivots.append((i, d))
         prow = rows[i]
-        s = prow.get(j)
-        if s not in (1, -1) or cost != (len(prow) - 1) * (len(cols[j]) - 1):
-            continue  # stale: every change of an entry's cost pushed it anew
-        pivots.append(i)
         rows[i] = {}
+        live.discard(i)
         for c in prow:
             cols[c].discard(i)
-        changed = list(cols[j])
-        for k in changed:
-            row = rows[k]
-            f = row[j] * s
-            for c, x in prow.items():
-                y = row.get(c, 0) - f * x
-                if y:
-                    row[c] = y
-                    cols[c].add(k)
-                else:
-                    del row[c]
-                    cols[c].discard(k)
-            if u is not None:
-                uk = u[k]
-                for c, x in u[i].items():
-                    y = uk.get(c, 0) - f * x
-                    if y:
-                        uk[c] = y
-                    else:
-                        del uk[c]
-        for k in changed:
+        for k in dirty:
             for c in rows[k]:
                 push(k, c)
         for c in prow:
             for k in cols[c]:
                 push(k, c)
-    return pivots
-
-
-def _residual_smith(a, u):
-    """Invariant factors of a dense matrix by least-absolute-value pivots, in place.
-
-    Row operations are mirrored on the dense transform `u` unless it is None.
-    """
-    m = len(a)
-    n = len(a[0]) if m else 0
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, f, start):
-        # columns left of `start` are already cleared in both rows
-        asrc, adst = a[src], a[dst]
-        adst[start:] = [x + f * y for x, y in zip(adst[start:], asrc[start:])]
-        if u is not None:
-            usrc, udst = u[src], u[dst]
-            u[dst] = [x + f * y for x, y in zip(udst, usrc)]
-
-    def add_col(src, dst, f, start):
-        for row in a[start:]:
-            row[dst] += f * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
-
-    limit = min(m, n)
-    t = 0
-    while t < limit:
-        # minimal-absolute-value pivot in the remaining submatrix
-        best = None
-        for i in range(t, m):
-            row = a[i]
-            for j in range(t, n):
-                val = row[j]
-                if val:
-                    size = abs(val)
-                    if best is None or size < best[0]:
-                        best = (size, i, j)
-                        if size == 1:
-                            break
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            swap_rows(t, bi)
-        if bj != t:
-            swap_cols(t, bj)
-
-        while True:
-            if a[t][t] < 0:
-                negate_row(t)
-            p = a[t][t]
-            dirty = False
-            for i in range(t + 1, m):
-                val = a[i][t]
-                if val:
-                    q = val // p
-                    if q:
-                        add_row(t, i, -q, t)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            for j in range(t + 1, n):
-                val = a[t][j]
-                if val:
-                    q = val // p
-                    if q:
-                        add_col(t, j, -q, t)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # pivot row and column are clean; enforce divisibility
-            p = a[t][t]
-            if p == 1:
-                break
-            offender = next((i for i in range(t + 1, m) if any(x % p for x in a[i][t + 1 :])), None)
-            if offender is None:
-                break
-            add_row(offender, t, 1, t)
-
-        t += 1
-
-    return [a[i][i] for i in range(limit) if a[i][i]]
 
 
 def smith_form(rows, transforms=False):
@@ -206,36 +153,20 @@ def smith_form(rows, transforms=False):
     of U * mat vanish and d_i divides row i, which is all that the order of
     an image in the cokernel depends on.
 
-    A sparse pass first eliminates with +-1 pivots (Dumas, Saunders and
-    Villard, J. Symbolic Comput. 32, 2001); the dense residual it leaves is
-    reduced with pivots of least absolute value.  U is the unit pass's
-    transforms of its pivot rows, then those of the residual rows under the
-    residual loop's transform, then those of the rows the pass zeroed.
+    One sparse elimination (`_eliminate`) takes the +-1 pivots, cheapest
+    first, and then pivots of least absolute value.  U is the transforms of
+    the pivot rows in pivot order, then those of the rows it zeroed, in
+    index order.
     """
     m = len(rows)
     rows = [{j: int(x) for j, x in row.items() if x} for row in rows]
     u = [{i: 1} for i in range(m)] if transforms else None
-    pivots = _unit_pass(rows, u)
-    rest = [i for i, row in enumerate(rows) if row]
-    cols = sorted({j for i in rest for j in rows[i]})
-    residual = [[rows[i].get(j, 0) for j in cols] for i in rest]
-    u2 = [[int(i == j) for j in range(len(rest))] for i in range(len(rest))] if transforms else None
-    factors = [1] * len(pivots) + _residual_smith(residual, u2)
+    pivots = _eliminate(rows, u)
+    factors = [d for _, d in pivots]
     if not transforms:
         return factors
-
-    def combine(terms):
-        # the sparse row sum(f * u[i] for f, i in terms)
-        row = {}
-        for f, i in terms:
-            for k, x in u[i].items():
-                row[k] = row.get(k, 0) + f * x
-        return {k: x for k, x in row.items() if x}
-
-    done = set(pivots).union(rest)
-    combined = [combine([(f, i) for f, i in zip(w, rest) if f]) for w in u2]
-    zeroed = [u[i] for i in range(m) if i not in done]
-    return factors, [u[i] for i in pivots] + combined + zeroed
+    done = {i for i, _ in pivots}
+    return factors, [u[i] for i, _ in pivots] + [u[i] for i in range(m) if i not in done]
 
 
 def smith_normal_form(mat, transforms=False):
@@ -432,37 +363,3 @@ def signature(g):
     if not det:
         raise ValueError("degenerate symmetric form")
     return sig
-
-
-_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
-
-
-def write_matrix(mat, path):
-    """Plain text export: a `rows cols` header line, then one row per line."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{m} {n}\n")
-        for row in mat:
-            fh.write(" ".join(str(x) for x in row) + "\n")
-
-
-def _parse_int(token):
-    if not _INT_TOKEN.fullmatch(token):
-        raise ValueError(f"not an integer: {token!r}")
-    return int(token)
-
-
-def read_matrix(path):
-    """Read the format of `write_matrix`; malformed input raises ValueError."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError("expected 'rows cols' header")
-        m, n = (_parse_int(x) for x in header)
-        if m < 0 or n < 0:
-            raise ValueError(f"negative dimension in header: {' '.join(header)!r}")
-        values = [_parse_int(x) for x in fh.read().split()]
-    if len(values) != m * n:
-        raise ValueError(f"expected {m * n} entries, found {len(values)}")
-    return [values[i * n : (i + 1) * n] for i in range(m)]

@@ -216,6 +216,22 @@ def test_usage_error_size_limit():
     assert code == 2
 
 
+@pytest.mark.parametrize("n,deg,count", [(7, 14, 3834308), (8, 16, 18669447)])
+def test_usage_error_basis_too_large(n, deg, count, monkeypatch, capsys):
+    # the count comes from the Betti series; the basis is never built
+    from k3hilb import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("basis built despite its size")
+
+    monkeypatch.setattr(cli, "hilb_base", refuse)
+    code, text = invoke("basis", "--n", str(n), "--deg", str(deg))
+    assert (code, text) == (2, "")
+    assert str(count) in capsys.readouterr().err
+    code, text = invoke("--json", "basis", "--n", str(n), "--deg", str(deg))
+    assert (code, text) == (2, "")
+
+
 @pytest.mark.parametrize(
     "jobs", [0, -1, (os.cpu_count() or 1) + 1], ids=["zero", "negative", "above_cpu_count"]
 )

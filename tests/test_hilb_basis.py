@@ -7,6 +7,7 @@ from k3hilb.hilb_basis import (
     ClassSyntaxError,
     an_sort_key,
     an_z,
+    betti,
     canonical_class,
     deg,
     format_class,
@@ -79,6 +80,26 @@ def test_hilb_base_counts_match_series_oracle(fresh_caches):
     # the middle degrees
     assert len(hilb_base(4, 8)) == 19298
     assert len(hilb_base(5, 10)) == 125604
+
+
+def test_betti_equals_basis_size():
+    # the uncached enumeration, so no large basis stays in memory
+    for n in range(7):
+        for d in range(-2, 4 * n + 3):
+            assert betti(n, d) == len(hilb_base.__wrapped__(n, d)), (n, d)
+
+
+def test_betti_matches_series_oracle():
+    series = oracles.hilb_betti_series(8)
+    for n in range(9):
+        for d in range(-2, 4 * n + 3):
+            assert betti(n, d) == series[n].get(d, 0), (n, d)
+    assert (betti(6, 12), betti(8, 12), betti(7, 14), betti(8, 16)) == (
+        727606,
+        894288,
+        3834308,
+        18669447,
+    )
 
 
 def _oracle_base(n, d):

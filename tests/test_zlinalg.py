@@ -1,5 +1,4 @@
 import random
-import re
 
 import pytest
 import numpy as np
@@ -12,12 +11,10 @@ from k3hilb.zlinalg import (
     dedup_columns,
     form_invariants,
     image_order,
-    read_matrix,
     signature,
     smith_form,
     smith_normal_form,
     sparse_mat_vec,
-    write_matrix,
 )
 import oracles
 from oracles import det, identity_matrix
@@ -102,8 +99,9 @@ def scrambled_diagonal(diag, m, n, seed, ops=260):
 
 
 def test_snf_large_scrambled_unit_pass_and_residual():
-    # the unit pass takes most pivots; the non-unit factors are left to the
-    # residual loop
+    # the unit pivots come first and take most of the rank; the non-unit
+    # factors come from the least-absolute-value pivots of the same
+    # elimination
     diag = [1] * 70 + [2] * 4 + [6] * 2 + [12]
     mat = scrambled_diagonal(diag, 80, 90, seed=11)
     assert smith_normal_form(mat) == diag
@@ -113,14 +111,73 @@ def test_snf_large_scrambled_unit_pass_and_residual():
 
 
 def test_snf_scrambled_few_units_residual_does_the_work():
-    # only three factors are units, so the unit pass takes at most three
-    # pivots and the residual loop reduces the rest of the 72 x 70 matrix
+    # only three factors are units, so at most three unit pivots are taken
+    # from the heap and the least-absolute-value pivots reduce the rest of
+    # the 72 x 70 matrix
     diag = [1] * 3 + [2] * 60 + [6] * 3 + [30]
     mat = scrambled_diagonal(diag, 72, 70, seed=17)
     assert smith_normal_form(mat) == diag
     factors, u = smith_normal_form(mat, transforms=True)
     assert factors == diag
     oracles.assert_smith_row_transform(mat, factors, u)
+
+
+@pytest.mark.parametrize(
+    "mat,diag",
+    [
+        # the least pivot divides nothing else: a row is added to the pivot row
+        ([[2, 0], [0, 3]], [1, 6]),
+        ([[6, 0], [0, 4]], [2, 12]),
+        ([[0, 3], [2, 0], [0, 0]], [1, 6]),
+        # the pivot row is reduced by column moves to a smaller pivot
+        ([[4, 6]], [2]),
+        ([[4], [6]], [2]),
+        # negative pivots
+        ([[-2, 0], [0, -3]], [1, 6]),
+        ([[-6, 0], [0, 4]], [2, 12]),
+        ([[-4, -6]], [2]),
+        ([[0, -4], [-6, 0]], [2, 12]),
+        ([[-4, 6], [6, -4]], [2, 10]),
+    ],
+    ids=[
+        "2.3",
+        "6.4",
+        "3.2-tall",
+        "4-6",
+        "4-6-column",
+        "neg2.3",
+        "neg6.4",
+        "neg4-6",
+        "4.6-anti",
+        "neg4.6",
+    ],
+)
+def test_snf_non_unit_pivots(mat, diag):
+    # the factors are certified by the minors, U by |det U| = 1 and the rows
+    # of U * mat, independently of the elimination
+    assert smith_normal_form(mat) == diag
+    oracles.assert_smith_factors(mat, diag)
+    factors, u = smith_normal_form(mat, transforms=True)
+    assert factors == diag
+    oracles.assert_smith_row_transform(mat, factors, u)
+    rows = [{j: x for j, x in enumerate(row) if x} for row in mat]
+    assert smith_form(rows) == diag
+
+
+def test_smith_form_sym3_hilb3_mod_p_ranks():
+    # the cube map on Hilb^3 has factors 1 (2047 times), 2 (230), 36 (22)
+    # and 72; most of its rank comes from unit pivots, its torsion from the
+    # least-absolute-value ones.  Over F_p the rank drops by the number of
+    # factors p divides, and the sparse echelon form of the oracle shares no
+    # code with the Smith elimination
+    from k3hilb import analysis
+
+    mat = zlinalg.dedup_columns(analysis.sym_power_matrix(3, 3))
+    assert (len(mat), len(mat[0])) == (2554, 2300)
+    factors = smith_normal_form(mat)
+    assert factors == [1] * 2047 + [2] * 230 + [36] * 22 + [72]
+    for p, rank in ((2, 2047), (3, 2277), ((1 << 61) - 1, 2300)):
+        assert oracles.rank_mod_p(mat, p) == rank == len(factors) - sum(d % p == 0 for d in factors)
 
 
 # mostly zeros, some units, some larger entries: the shape of the
@@ -384,37 +441,3 @@ def test_unimodular_gram():
     assert oracles.is_unimodular_gram([[0, 1], [1, 0]])
     assert not oracles.is_unimodular_gram([[2]])
     assert oracles.is_unimodular_gram(identity_matrix(5))
-
-
-def test_matrix_io_round_trip(tmp_path):
-    mat = [[1, -2, 3], [10**30, 0, -(7**40)]]
-    path = tmp_path / "m.txt"
-    write_matrix(mat, path)
-    assert read_matrix(path) == mat
-    empty = tmp_path / "e.txt"
-    write_matrix([], empty)
-    assert read_matrix(empty) == []
-    bad = tmp_path / "bad.txt"
-    bad.write_text("2 2\n1 2 3\n")
-    with pytest.raises(ValueError):
-        read_matrix(bad)
-
-
-@pytest.mark.parametrize(
-    "text,token",
-    [
-        # a negative header must not read as an empty matrix
-        pytest.param("-1 -1\n5\n", "-1 -1", id="negative"),
-        pytest.param("2 -3\n", "2 -3", id="negative-cols"),
-        pytest.param("2 x\n1 2\n", "'x'", id="header-word"),
-        pytest.param("1.0 2\n1 2\n", "'1.0'", id="header-float"),
-        pytest.param("1 2\n1 2.5\n", "'2.5'", id="body-float"),
-        pytest.param("1 2\n1 1_000\n", "'1_000'", id="underscore"),
-        pytest.param("1 1\n0x10\n", "'0x10'", id="hex"),
-    ],
-)
-def test_read_matrix_rejects_malformed(tmp_path, text, token):
-    path = tmp_path / "m.txt"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=re.escape(token)):
-        read_matrix(path)
