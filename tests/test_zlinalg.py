@@ -181,7 +181,7 @@ def test_smith_form_sym3_hilb3_mod_p_ranks():
 
 
 # mostly zeros, some units, some larger entries: the shape of the
-# cup-product matrices, where the unit pass does most of the elimination
+# cup-product matrices, where the unit pivots do most of the elimination
 _SPARSE_ENTRY = st.one_of(
     st.sampled_from([0, 0, 0, 0, 0, 1, -1]),
     st.integers(min_value=-30, max_value=30),
