@@ -28,7 +28,6 @@ __all__ = [
     "bns_form_signature",
     "QuotientReport",
     "cokernel_report",
-    "verify_quotient_generator",
     "class_one_power",
     "class_x_power",
     "class_alpha_generator",
@@ -378,20 +377,6 @@ def _generator_order(factors, u, vec, expected, primary=None):
         return 0 if gcd(*zlinalg.sparse_mat_vec(u[len(factors) :], vec)) == 1 else -1
     order = zlinalg.image_order(factors, u, vec)
     return _primary_part(order, primary) if primary else order
-
-
-def verify_quotient_generator(n, cls, matrix, expected_order, degree):
-    """Check that a class's image in coker(matrix) has exactly the given order.
-
-    Order 0 means infinite order, checked as primitivity in the free part of
-    the quotient.  For finite orders the torsion component of the image is
-    measured; when the image also has a free component this is well defined
-    only because that component is a multiple of the torsion exponent.
-    """
-    vec = class_vector(cls, n, degree)
-    rows = [{j: x for j, x in enumerate(row) if x} for row in zlinalg.dedup_columns(matrix)]
-    factors, u = zlinalg.smith_form(rows, transforms=True)
-    return _generator_order(factors, u, vec, expected_order) == expected_order
 
 
 class GeneratorCheck(NamedTuple):

@@ -148,11 +148,6 @@ def _coprod_items(k, i):
     return tuple((key, v) for key, v in sorted(acc.items()) if v)
 
 
-def coprod_n(k, i):
-    """Iterated comultiplication as a sparse {tuple of k indices: coeff} map."""
-    return dict(_coprod_items(k, i))
-
-
 @cache
 def _euler_items():
     acc = {}

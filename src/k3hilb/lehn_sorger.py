@@ -18,10 +18,17 @@ the integer multiplicity with which each occurs; mult_an combines both to
 multiply symbols, staying in exact integers.  It multiplies at the ambient
 min(n, s(a) + s(b)), s the weight without the (1, unit) padding, rescales to
 n, and reads off classes directly, never forming canonical terms.
+
+A degree-2 factor needs no conjugates, orbits or Euler class: a label class
+alpha in H^2 acts as a derivation on b's labels, the boundary class
+((2,), (0,)) as the cut-and-join of Lehn's boundary operator (Lehn, Invent.
+Math. 136, 1999; Lehn and Sorger, Duke Math. J. 110, 2001).  mult_an takes
+this closed form (_mult_deg2) whenever one reduced factor has degree 2, and
+the S_n kernel for every other product.
 """
 
 from functools import cache, lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, groupby, permutations
 from math import factorial, perm
 
 from . import k3
@@ -340,18 +347,76 @@ def _mult_an_cached(a, b, n):
     return tuple(sorted(out))
 
 
-def mult_an(a, b, n):
+def _mult_deg2(a, b, n):
+    """The product of a reduced degree-2 symbol a with b at n, in closed form.
+
+    a symmetrized is Z_a times the sum of its conjugates, and each conjugate
+    meets b's model (b padded to n, unit points included) with no graph
+    defect.  A label class ((1,), (alpha,)) cups alpha into the label of the
+    part holding its point: part j is hit lambda_j times.  The boundary class
+    ((2,), (0,)) is a transposition: inside part j it cuts lambda_j into
+    (k, lambda_j - k), lambda_j ways (lambda_j / 2 when 2k = lambda_j) with
+    the labels comultiplied; across parts j and k it joins them,
+    lambda_j * lambda_k ways with the labels cupped.
+    """
+    pairs = list(zip(*pad_class(b, n)))
+    groups = [(pair, len(list(run))) for pair, run in groupby(pairs)]
+    acc = {}
+
+    def add(drop, new, v):
+        rest = list(pairs)
+        for pair in drop:
+            rest.remove(pair)
+        rest += new
+        rest.sort(reverse=True)
+        key = (tuple(p for p, _ in rest), tuple(l for _, l in rest))
+        acc[key] = acc.get(key, 0) + v
+
+    for i, ((p, l), c) in enumerate(groups):
+        if a[0] == (1,):  # a derivation on the labels
+            for r, v in k3.cup_list([a[1][0], l]).items():
+                add([(p, l)], [(p, r)], c * p * v)
+            continue
+        for k in range(1, p // 2 + 1):  # cuts
+            w = c * (p // 2 if 2 * k == p else p)
+            for (l1, l2), v in k3._coprod_items(2, l):
+                add([(p, l)], [(k, l1), (p - k, l2)], w * v)
+        for j, ((q, m), d) in enumerate(groups[: i + 1]):  # joins
+            ways = c * (c - 1) // 2 if j == i else c * d
+            if ways:
+                for r, v in k3.cup_list([l, m]).items():
+                    add([(p, l), (q, m)], [(p + q, r)], ways * p * q * v)
+    z = an_z(pad_class(a, n))
+    return {s: z * v for s, v in acc.items() if v}
+
+
+def _is_deg2(sym):
+    """Whether a reduced symbol is a label class of H^2 or the boundary class."""
+    return sym == ((2,), (UNIT,)) or (sym[0] == (1,) and 1 <= sym[1][0] <= 22)
+
+
+def mult_an(a, b, n, *, canonical=False):
     """Product of two creation symbols at ambient n, as {symbol: int coeff}.
 
-    Symbols heavier than n are the zero class, so the product is empty.  The
-    side with the larger stabilizer at the reduced ambient is symmetrized,
-    so (a, b) and (b, a) share one cache entry.
+    Symbols heavier than n are the zero class, so the product is empty.  A
+    degree-2 factor takes the closed form of _mult_deg2.  Otherwise the side
+    with the larger stabilizer at the reduced ambient is symmetrized, so
+    (a, b) and (b, a) share one cache entry.  canonical=True takes a and b as
+    canonical symbols, as the integral base change makes them, and does not
+    validate them again.
     """
-    a = reduce_class(canonical_class(*a))
-    b = reduce_class(canonical_class(*b))
+    if canonical:
+        a, b = reduce_class(a), reduce_class(b)
+    else:
+        a = reduce_class(canonical_class(*a))
+        b = reduce_class(canonical_class(*b))
     sa, sb = sum(a[0]), sum(b[0])
     if sa > n or sb > n:
         return {}
+    if _is_deg2(a):
+        return _mult_deg2(a, b, n)
+    if _is_deg2(b):
+        return _mult_deg2(b, a, n)
     m = min(n, sa + sb)
     if (an_z(pad_class(a, m)), a) < (an_z(pad_class(b, m)), b):
         a, b = b, a

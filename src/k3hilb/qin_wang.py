@@ -124,7 +124,7 @@ def _crea_product(acc, items, n):
     for p, va in acc.items():
         for q, vb in items:
             w = va * vb
-            for e, z in mult_an(p, q, n).items():
+            for e, z in mult_an(p, q, n, canonical=True).items():
                 out[e] = out.get(e, 0) + w * z
     return {e: v for e, v in out.items() if v}
 

@@ -22,7 +22,6 @@ from .partitions import as_alpha, part_of_weight, part_z
 __all__ = [
     "psi",
     "psi_inv",
-    "monomial_scalar_power",
     "invert_lower_triangular",
 ]
 
@@ -127,13 +126,3 @@ def psi_inv(mu, lam):
         return Fraction(0)
     basis, index, inv_block, _ = _weight_block(sum(mu))
     return inv_block[index[tuple(mu)]][index[tuple(lam)]]
-
-
-def monomial_scalar_power(mu, lam):
-    """Hall scalar product <m_mu, p_lam>; an integer, zero across weights."""
-    if sum(lam) != sum(mu):
-        return 0
-    value = psi_inv(mu, lam) * part_z(tuple(lam))
-    if value.denominator != 1:
-        raise ArithmeticError(f"<m_{mu}, p_{lam}> = {value} is not integral")
-    return int(value)

@@ -4,15 +4,16 @@ Everything here is deliberately implemented from first principles, without
 calling into the code paths under test: partition counts from the pentagonal
 recurrence, basis symbols by a memoized recursion over operator sequences,
 base-change coefficients from brute polynomial expansion, basis dimensions
-from a truncated two-variable product series, symbol products
-from the fully naive double symmetrization or from all conjugates at the full
-ambient, symbol conjugates by skip-and-retry enumeration, the orbit product
-of two terms from permutation tuples, the creation pairing from symbol
-products, the integral base change and integral products through exact
+from a truncated two-variable product series, symbol products from the fully
+naive double symmetrization, from all conjugates at the full ambient or from
+the S_n kernel alone, symbol conjugates by skip-and-retry enumeration, the
+orbit product of two terms from permutation tuples, the creation pairing from
+symbol products, the integral base change and integral products through exact
 Fractions, cokernel reports through the dense matrix views and a dense row
 transform, integer ranks from sparse elimination over one large prime field
 (the Smith form only settles a rank-deficient case), and signatures by
-rational congruence diagonalization.
+rational congruence diagonalization.  The helpers at the end are small ones
+that only the tests call.
 """
 
 from fractions import Fraction
@@ -213,7 +214,7 @@ def perm_from_cycles(n, cycles):
 
 def cycle_type(p):
     """Partition of the cycle lengths of a permutation (fixed points count as 1)."""
-    from k3hilb.partitions import as_partition, cycles_of
+    from k3hilb.partitions import cycles_of
 
     return as_partition(len(c) for c in cycles_of(p))
 
@@ -407,6 +408,24 @@ def full_ambient_mult_an(a, b, n):
             sym = canonical_class(tuple(len(c) for c, _ in term), tuple(lab for _, lab in term))
             acc[sym] = acc.get(sym, 0) + mult * v
     return {s: v for s, v in acc.items() if v}
+
+
+def sn_kernel_mult_an(a, b, n, *, canonical=False):
+    """`lehn_sorger.mult_an` without its closed form for a degree-2 factor:
+    every product runs through the S_n kernel `_mult_an_cached`, with the
+    same choice of the symmetrized side.  Takes mult_an's `canonical` flag
+    and validates regardless."""
+    from k3hilb.hilb_basis import an_z, canonical_class, pad_class, reduce_class
+    from k3hilb.lehn_sorger import _mult_an_cached
+
+    a, b = (reduce_class(canonical_class(*s)) for s in (a, b))
+    sa, sb = sum(a[0]), sum(b[0])
+    if sa > n or sb > n:
+        return {}
+    m = min(n, sa + sb)
+    if (an_z(pad_class(a, m)), a) < (an_z(pad_class(b, m)), b):
+        a, b = b, a
+    return dict(_mult_an_cached(a, b, n))
 
 
 # ---------------------------------------------------------------------------
@@ -828,3 +847,93 @@ def dense_cokernel_report(n, kind, check_generators=False):
         cokernel=zlinalg.CokernelStructure.from_factors(factors, len(mat)),
         generator_checks=tuple(checks),
     )
+
+
+# ---------------------------------------------------------------------------
+# helpers that only the tests call, kept here rather than in the package
+
+
+def as_partition(parts):
+    """Normalize an iterable of positive integers to a canonical partition tuple."""
+    p = tuple(sorted((int(x) for x in parts), reverse=True))
+    if any(x < 1 for x in p):
+        raise ValueError(f"partition parts must be positive, got {p}")
+    return p
+
+
+def from_alpha(alpha):
+    """Inverse of `partitions.as_alpha`."""
+    parts = []
+    for i, m in enumerate(alpha, start=1):
+        if m < 0:
+            raise ValueError("multiplicities must be nonnegative")
+        parts.extend([i] * m)
+    parts.reverse()
+    return tuple(parts)
+
+
+def part_conj(p):
+    """Conjugate (transposed Young diagram) partition; an involution."""
+    if not p:
+        return ()
+    return tuple(sum(1 for x in p if x >= i) for i in range(1, p[0] + 1))
+
+
+def part_of_weight_length(w, l):
+    """All partitions of weight w and length l, in canonical order."""
+    from k3hilb.partitions import part_of_weight
+
+    if w < 0 or l < 0:
+        return ()
+    return tuple(p for p in part_of_weight(w) if len(p) == l)
+
+
+def parse_partition(text):
+    """Inverse of `partitions.format_partition`; raises ValueError on bad syntax."""
+    s = text.strip()
+    if not (s.startswith("[") and s.endswith("]")):
+        raise ValueError(f"partition must be bracketed like [3-2-1], got {text!r}")
+    inner = s[1:-1].strip()
+    if not inner:
+        return ()
+    try:
+        parts = [int(x) for x in inner.split("-")]
+    except ValueError:
+        raise ValueError(f"non-integer part in partition {text!r}") from None
+    return as_partition(parts)
+
+
+def coprod_n(k, i):
+    """Iterated comultiplication as a sparse {tuple of k indices: coeff} map."""
+    from k3hilb import k3
+
+    return dict(k3._coprod_items(k, i))
+
+
+def monomial_scalar_power(mu, lam):
+    """Hall scalar product <m_mu, p_lam>; an integer, zero across weights."""
+    from k3hilb.partitions import part_z
+    from k3hilb.symfunc import psi_inv
+
+    if sum(lam) != sum(mu):
+        return 0
+    value = psi_inv(mu, lam) * part_z(tuple(lam))
+    if value.denominator != 1:
+        raise ArithmeticError(f"<m_{mu}, p_{lam}> = {value} is not integral")
+    return int(value)
+
+
+def verify_quotient_generator(n, cls, matrix, expected_order, degree):
+    """Check that a class's image in coker(matrix) has exactly the given order.
+
+    Order 0 means infinite order, checked as primitivity in the free part of
+    the quotient.  For finite orders the torsion component of the image is
+    measured; when the image also has a free component this is well defined
+    only because that component is a multiple of the torsion exponent.
+    """
+    from k3hilb import analysis, zlinalg
+
+    vec = analysis.class_vector(cls, n, degree)
+    rows = [{j: x for j, x in enumerate(row) if x} for row in zlinalg.dedup_columns(matrix)]
+    factors, u = zlinalg.smith_form(rows, transforms=True)
+    return analysis._generator_order(factors, u, vec, expected_order) == expected_order

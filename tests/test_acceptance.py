@@ -189,7 +189,7 @@ def test_criterion_9_comultiplication_adjointness():
     with _Gate("9 comultiplication adjointness"):
         for a in k3.INDICES:
             lhs = {}
-            for (i, j), w in k3.coprod_n(2, a).items():
+            for (i, j), w in oracles.coprod_n(2, a).items():
                 for b in k3.INDICES:
                     bib = k3.bil(i, b)
                     if not bib:
@@ -213,7 +213,7 @@ def test_criterion_9_euler_class_composite():
     # (see test_qin_wang.test_cup_int_associative_on_graph_defect_triple).
     with _Gate("9 euler class from the composite"):
         acc = {}
-        for (i, j), w in k3.coprod_n(2, k3.UNIT).items():
+        for (i, j), w in oracles.coprod_n(2, k3.UNIT).items():
             for m, v in k3.cup_list([i, j]).items():
                 acc[m] = acc.get(m, 0) + w * v
         composite = {m: v for m, v in acc.items() if v}

@@ -1,9 +1,9 @@
 import random
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from k3hilb import analysis, k3, zlinalg
+from k3hilb import analysis, k3, qin_wang, zlinalg
 from k3hilb.analysis import (
     bns_form_signature,
     class_K,
@@ -17,12 +17,12 @@ from k3hilb.analysis import (
     mixed_matrix,
     sym_power_matrix,
     top_class,
-    verify_quotient_generator,
 )
 from k3hilb.hilb_basis import canonical_class, hilb_base
 from k3hilb.lehn_sorger import mult_an
 from k3hilb.qin_wang import cup_int
 import oracles
+from oracles import verify_quotient_generator
 
 c = canonical_class
 
@@ -277,6 +277,25 @@ def test_distinct_rows_equal_dense_dedup():
         ]
 
 
+def _assert_columns_match_s_n_kernel(n, kind, monkeypatch):
+    """Every column of a cokernel map, through mult_an (whose degree-2 factors
+    take the closed form) and again with every product through the S_n kernel."""
+    if kind == "h2xh4":
+        domain = list(product(hilb_base(n, 2), hilb_base(n, 4)))
+    else:
+        domain = list(combinations_with_replacement(hilb_base(n, 2), 2 if kind == "sym2" else 3))
+    closed = analysis._columns(domain, n, 1)
+    monkeypatch.setattr(qin_wang, "mult_an", oracles.sn_kernel_mult_an)
+    assert analysis._columns(domain, n, 1) == closed
+    assert any(closed) or n == 1
+
+
+@pytest.mark.parametrize("kind", analysis.MAP_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_map_columns_match_s_n_kernel(n, kind, monkeypatch):
+    _assert_columns_match_s_n_kernel(n, kind, monkeypatch)
+
+
 def test_mixed_matrix_shape():
     m = mixed_matrix(2)
     assert len(m) == 23
@@ -328,6 +347,14 @@ def test_mixed_cokernel_hilb5_stretch():
     assert r.cokernel.torsion == ()
     assert r.cokernel.free_rank == 23
     assert all(g.ok for g in r.generator_checks)
+
+
+@pytest.mark.stretch
+@pytest.mark.parametrize("n", [4, 5])
+def test_mixed_columns_match_s_n_kernel_stretch(n, monkeypatch):
+    # the h2xh4 matrices whose cokernels fail the criteria above: the closed
+    # form and the S_n kernel give the same columns
+    _assert_columns_match_s_n_kernel(n, "h2xh4", monkeypatch)
 
 
 @pytest.mark.stretch

@@ -112,6 +112,7 @@ def test_cokernel_text():
             '"torsion": [], "free_rank": 0, "generators": []}\n',
         ),
     ],
+    ids=["json-sym2-n3-gens", "sym3-n2-gens", "json-sym3-n2-gens", "sym3-n1", "json-h2xh4-n1"],
 )
 def test_cokernel_generator_checks_stdout_pinned(argv, stdout):
     assert invoke(*argv) == (0, stdout)

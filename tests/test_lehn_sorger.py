@@ -8,6 +8,7 @@ from k3hilb import qin_wang
 from k3hilb.hilb_basis import an_z, canonical_class, hilb_base, pad_class, reduce_class
 from k3hilb.lehn_sorger import (
     _expand,
+    _mult_an_cached,
     _label_shape,
     _orbit_factors,
     _symmetrized_shape,
@@ -327,6 +328,38 @@ def test_mult_an_matches_full_ambient_oracle(n):
         assert mult_an(pad_class(a, n), b, n) == expected
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_mult_deg2_matches_s_n_oracles(n):
+    # the closed form for a degree-2 factor against products through the S_n
+    # kernel: the naive double symmetrization while n!^2 is small, else all
+    # conjugates at the full ambient; seeded b of every weight up to n, with
+    # labels that cup to nonzero classes, in both argument orders
+    rng = random.Random(2000 + n)
+    oracle = oracles.naive_mult_an if n <= 4 else oracles.full_ambient_mult_an
+    nonzero = 0
+    for _ in range(8):
+        b = _random_reduced(rng, rng.randint(1, n))
+        for a in (((2,), (0,)), ((1,), (rng.choice((1, 2, 7, 8, 15)),))):
+            expected = oracle(a, b, n)
+            assert mult_an(a, b, n) == expected, (a, b)
+            assert mult_an(b, pad_class(a, n), n) == expected, (a, b)
+            nonzero += bool(expected)
+    assert nonzero >= 8
+
+
+def test_mult_deg2_matches_s_n_kernel_on_bases():
+    # every degree-2 symbol against every basis symbol of degree <= 4 at
+    # n <= 4, closed form against the kernel (_mult_an_cached) directly
+    for n in range(1, 5):
+        for a in hilb_base(n, 2):
+            ra = reduce_class(a)
+            for d in (0, 2, 4):
+                for b in hilb_base(n, d):
+                    rb = reduce_class(b)
+                    kernel = dict(_mult_an_cached(ra, rb, n))
+                    assert mult_an(a, b, n) == kernel == mult_an(b, a, n), (a, b)
+
+
 def test_cup_int_hilb8_matches_full_ambient_products(monkeypatch):
     # integral products at n = 8 with every creation product taken on all
     # eight points by the oracle
@@ -345,6 +378,9 @@ def test_cup_int_hilb8_matches_full_ambient_products(monkeypatch):
     fast = [cup_int(a, b, 8) for a, b in pairs]
     # the integer base change against one in Fractions
     assert [oracles.cup_int_by_fractions(a, b, 8) for a, b in pairs] == fast
-    monkeypatch.setattr(qin_wang, "mult_an", oracles.full_ambient_mult_an)
+    # the base change passes canonical symbols and says so
+    monkeypatch.setattr(
+        qin_wang, "mult_an", lambda a, b, n, *, canonical: oracles.full_ambient_mult_an(a, b, n)
+    )
     assert [cup_int(a, b, 8) for a, b in pairs] == fast
     assert all(fast)

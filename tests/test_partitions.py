@@ -3,20 +3,20 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from k3hilb.partitions import (
-    as_alpha,
+from k3hilb.partitions import as_alpha, cycles_of, format_partition, part_of_weight, part_z
+import oracles
+from oracles import (
     as_partition,
-    cycles_of,
-    format_partition,
+    compose,
+    cycle_type,
     from_alpha,
+    identity_perm,
     parse_partition,
     part_conj,
-    part_of_weight,
     part_of_weight_length,
-    part_z,
+    part_permute,
+    perm_from_cycles,
 )
-import oracles
-from oracles import compose, cycle_type, identity_perm, part_permute, perm_from_cycles
 
 
 def test_part_of_weight_small():
