@@ -14,13 +14,12 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import k3, zlinalg
-from .hilb_basis import an_weight, canonical_class, deg, hilb_base, pad_class
+from .hilb_basis import canonical_class, hilb_base, pad_class
 from .qin_wang import _int_to_crea_items, cup_int_list
 
 __all__ = [
     "sym_power_matrix",
     "mixed_matrix",
-    "integrate",
     "creation_pairing",
     "creation_gram",
     "middle_gram_matrix",
@@ -102,18 +101,6 @@ def mixed_matrix(n, jobs=1):
 def top_class(n):
     """The degree-4n symbol of all point classes, normalized to integral 1."""
     return canonical_class((1,) * n, (k3.POINT,) * n)
-
-
-def integrate(n, vec):
-    """Evaluation against the fundamental class: the top-symbol coefficient.
-
-    Requires a homogeneous class of top degree 4n (symbols at ambient n).
-    """
-    top = top_class(n)
-    for sym in vec:
-        if deg(sym) != 4 * n or an_weight(sym) != n:
-            raise ValueError(f"not a top-degree class at n={n}: contains {sym}")
-    return vec.get(top, 0)
 
 
 @cache

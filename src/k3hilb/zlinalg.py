@@ -17,7 +17,6 @@ from typing import NamedTuple
 __all__ = [
     "smith_form",
     "smith_normal_form",
-    "cokernel",
     "CokernelStructure",
     "image_order",
     "form_invariants",
@@ -210,11 +209,6 @@ def dedup_columns(mat):
             seen.add(col)
             keep.append(j)
     return [[row[j] for j in keep] for row in mat]
-
-
-def cokernel(mat):
-    """Structure of Z^rows / column-span(mat)."""
-    return CokernelStructure.from_factors(smith_normal_form(dedup_columns(mat)), len(mat))
 
 
 def sparse_mat_vec(rows, vec):

@@ -3,17 +3,17 @@
 Everything here is deliberately implemented from first principles, without
 calling into the code paths under test: partition counts from the pentagonal
 recurrence, basis symbols by a memoized recursion over operator sequences,
-base-change coefficients from brute polynomial expansion, basis dimensions
-from a truncated two-variable product series, symbol products from the fully
-naive double symmetrization, from all conjugates at the full ambient or from
-the S_n kernel alone, symbol conjugates by skip-and-retry enumeration, the
-orbit product of two terms from permutation tuples, the creation pairing from
-symbol products, the integral base change and integral products through exact
-Fractions, cokernel reports through the dense matrix views and a dense row
-transform, integer ranks from sparse elimination over one large prime field
-(the Smith form only settles a rank-deficient case), and signatures by
-rational congruence diagonalization.  The helpers at the end are small ones
-that only the tests call.
+base-change coefficients from brute polynomial expansion and from Moebius sums
+over set partitions, basis dimensions from a truncated two-variable product
+series, symbol products from the fully naive double symmetrization, from all
+conjugates at the full ambient or from the S_n kernel alone, symbol conjugates
+by skip-and-retry enumeration, the orbit product of two terms from permutation
+tuples, the creation pairing from symbol products, the integral base change
+and integral products through exact Fractions, cokernel reports through the
+dense matrix views and a dense row transform, integer ranks from sparse
+elimination over one large prime field (the Smith form only settles a
+rank-deficient case), and signatures by rational congruence diagonalization.
+The helpers at the end are small ones that only the tests call.
 """
 
 from fractions import Fraction
@@ -64,7 +64,8 @@ def brute_partitions(n):
 
 
 # ---------------------------------------------------------------------------
-# symmetric functions: psi by explicit polynomial expansion
+# symmetric functions: psi by explicit polynomial expansion, psi^-1 by Moebius
+# sums over set partitions
 
 
 def psi_by_expansion(lam, mu):
@@ -89,6 +90,34 @@ def psi_by_expansion(lam, mu):
         poly = new
     target = tuple(mu) + (0,) * (nvars - len(mu))
     return poly.get(target, 0)
+
+
+def _set_partitions(n):
+    """All set partitions of range(n) as tuples of blocks (tuples of indices)."""
+    if n == 0:
+        yield ()
+        return
+    for rest in _set_partitions(n - 1):
+        yield rest + ((n - 1,),)
+        for i, block in enumerate(rest):
+            yield rest[:i] + (block + (n - 1,),) + rest[i + 1 :]
+
+
+def psi_inv_by_moebius(mu, lam):
+    """Coefficient of p_lam in m_mu from Moebius weights over set partitions.
+
+    The augmented monomial function of mu is the sum, over set partitions of
+    the parts of mu, of prod_blocks (-1)^(|B|-1) (|B|-1)! times the power sum
+    of the merged parts; m_mu is that divided by prod_i m_i(mu)!.
+    """
+    if sum(lam) != sum(mu):
+        return Fraction(0)
+    acc = 0
+    for blocks in _set_partitions(len(mu)):
+        merged = tuple(sorted((sum(mu[b] for b in block) for block in blocks), reverse=True))
+        if merged == tuple(lam):
+            acc += prod((-1) ** (len(b) - 1) * factorial(len(b) - 1) for b in blocks)
+    return Fraction(acc, prod(factorial(list(mu).count(p)) for p in set(mu)))
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +543,6 @@ def direct_middle_gram(n):
     class: the all-pairs construction, with no use of the creation-basis
     pairing or its support.
     """
-    from k3hilb.analysis import integrate
     from k3hilb.hilb_basis import hilb_base
     from k3hilb.qin_wang import cup_int
 
@@ -937,3 +965,25 @@ def verify_quotient_generator(n, cls, matrix, expected_order, degree):
     rows = [{j: x for j, x in enumerate(row) if x} for row in zlinalg.dedup_columns(matrix)]
     factors, u = zlinalg.smith_form(rows, transforms=True)
     return analysis._generator_order(factors, u, vec, expected_order) == expected_order
+
+
+def cokernel(mat):
+    """Structure of Z^rows / column-span(mat) for a dense matrix."""
+    from k3hilb import zlinalg
+
+    factors = zlinalg.smith_normal_form(zlinalg.dedup_columns(mat))
+    return zlinalg.CokernelStructure.from_factors(factors, len(mat))
+
+
+def integrate(n, vec):
+    """Evaluation against the fundamental class: the top-symbol coefficient.
+
+    Requires a homogeneous class of top degree 4n (symbols at ambient n).
+    """
+    from k3hilb.analysis import top_class
+    from k3hilb.hilb_basis import an_weight, deg
+
+    for sym in vec:
+        if deg(sym) != 4 * n or an_weight(sym) != n:
+            raise ValueError(f"not a top-degree class at n={n}: contains {sym}")
+    return vec.get(top_class(n), 0)

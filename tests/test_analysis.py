@@ -12,7 +12,6 @@ from k3hilb.analysis import (
     class_vector,
     class_x_power,
     cokernel_report,
-    integrate,
     middle_lattice,
     mixed_matrix,
     sym_power_matrix,
@@ -22,7 +21,7 @@ from k3hilb.hilb_basis import canonical_class, hilb_base
 from k3hilb.lehn_sorger import mult_an
 from k3hilb.qin_wang import cup_int
 import oracles
-from oracles import verify_quotient_generator
+from oracles import integrate, verify_quotient_generator
 
 c = canonical_class
 

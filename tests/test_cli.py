@@ -64,6 +64,27 @@ def test_cup_json_round_trips():
     }
 
 
+@pytest.mark.parametrize(
+    "n,a,b,stdout",
+    [
+        (12, "([1],[1])", "([12],[2])", "[(([12],[23]),12)]"),
+        (
+            10,
+            "([1],[7])",
+            "([6-4],[8,8])",
+            "[(([6-4],[8,23]),4),(([6-4],[23,8]),6),(([10],[23]),-10)]",
+        ),
+    ],
+    ids=["n12-weight12", "n10-weight10"],
+)
+def test_cup_forced_large_weight_blocks(n, a, b, stdout):
+    # the base change of these classes goes through the psi blocks of
+    # weight 10 to 12
+    code, text = invoke("--force", "cup", "--n", str(n), a, b)
+    assert code == 0
+    assert text.strip() == stdout
+
+
 def test_cup_universal_text():
     code, text = invoke("cup-universal", "([2],[0])", "([2],[0])")
     assert code == 0

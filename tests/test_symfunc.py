@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
 from k3hilb.partitions import part_of_weight, part_z
-from k3hilb.symfunc import invert_lower_triangular, psi, psi_inv
+from k3hilb import symfunc
+from k3hilb.symfunc import psi, psi_inv
 import oracles
 from oracles import monomial_scalar_power
 
@@ -23,7 +25,7 @@ def test_psi_inv_small_values():
     assert psi_inv((1, 1), (2,)) == Fraction(-1, 2)
 
 
-@pytest.mark.parametrize("w", range(1, 9))
+@pytest.mark.parametrize("w", range(1, 11))
 def test_psi_psi_inv_compose_to_identity(w):
     basis = part_of_weight(w)
     for nu in basis:
@@ -39,7 +41,7 @@ def test_psi_matches_polynomial_expansion(w):
             assert psi(lam, mu) == oracles.psi_by_expansion(lam, mu)
 
 
-@pytest.mark.parametrize("w", range(1, 9))
+@pytest.mark.parametrize("w", range(1, 11))
 def test_psi_triangular_in_canonical_order(w):
     basis = part_of_weight(w)
     for i, lam in enumerate(basis):
@@ -65,28 +67,27 @@ def test_psi_integrality_everywhere():
                 assert isinstance(psi(lam, mu), int)
 
 
-def test_invert_lower_triangular():
-    basis = ["a", "b"]
-    entries = {("a", "a"): 1, ("b", "a"): 1, ("b", "b"): 2}
-    inv = invert_lower_triangular(basis, lambda x, y: entries.get((x, y), 0))
-    assert inv("a", "a") == 1
-    assert inv("a", "b") == 0
-    assert inv("b", "a") == Fraction(-1, 2)
-    assert inv("b", "b") == Fraction(1, 2)
-
-    ident = invert_lower_triangular(basis, lambda x, y: int(x == y))
-    assert ident("b", "b") == 1 and ident("b", "a") == 0
-
-    bad = invert_lower_triangular(basis, lambda x, y: 0)
-    with pytest.raises(ValueError):
-        bad("a", "a")
+@pytest.mark.parametrize("w", range(0, 9))
+def test_psi_inv_matches_moebius_sums(w):
+    for mu in part_of_weight(w):
+        for lam in part_of_weight(w):
+            assert psi_inv(mu, lam) == oracles.psi_inv_by_moebius(mu, lam), (mu, lam)
 
 
-@pytest.mark.parametrize("w", range(1, 9))
-def test_invert_lower_triangular_on_weight_blocks(w):
-    basis = list(part_of_weight(w))
-    inv = invert_lower_triangular(basis, psi_inv)
-    for nu in basis:
-        for mu in basis:
-            total = sum(psi_inv(nu, rho) * inv(rho, mu) for rho in basis)
-            assert total == (1 if nu == mu else 0)
+def test_psi_diagonal_is_product_of_multiplicity_factorials():
+    for w in range(1, 11):
+        for mu in part_of_weight(w):
+            assert psi(mu, mu) == prod(factorial(mu.count(p)) for p in set(mu))
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        ((1, 1), (1, 2)),  # nonzero above the diagonal
+        ((2, 0), (1, 1)),  # -1 / 2 in row 1
+        ((1, 0, 0), (0, 2, 0), (0, 3, 2)),  # -3 / 2 in row 2
+    ],
+)
+def test_scaled_inverse_certificates_raise(block):
+    with pytest.raises(ArithmeticError):
+        symfunc._scaled_inverse(block)
