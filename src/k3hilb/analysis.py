@@ -49,7 +49,7 @@ def _pool_map(fn, args, jobs):
 
 def _product_column(task):
     factors, n = task
-    return cup_int_list(list(factors), n)
+    return cup_int_list(list(factors), n, canonical=True)
 
 
 def _columns(domain, n, jobs):

@@ -19,12 +19,17 @@ multiply symbols, staying in exact integers.  It multiplies at the ambient
 min(n, s(a) + s(b)), s the weight without the (1, unit) padding, rescales to
 n, and reads off classes directly, never forming canonical terms.
 
-A degree-2 factor needs no conjugates, orbits or Euler class: a label class
-alpha in H^2 acts as a derivation on b's labels, the boundary class
-((2,), (0,)) as the cut-and-join of Lehn's boundary operator (Lehn, Invent.
-Math. 136, 1999; Lehn and Sorger, Duke Math. J. 110, 2001).  mult_an takes
-this closed form (_mult_deg2) whenever one reduced factor has degree 2, and
-the S_n kernel for every other product.
+Two kinds of factor need no conjugates, orbits or Euler class (Lehn and
+Sorger, Duke Math. J. 110, 2001).  A factor of 1-cycles ((1,)*k, (alpha_i))
+has the identity as model term, which meets every term of b with no graph
+defect and one orbit per cycle: its k labelled points are placed into the
+points of b's model and each alpha_i is cupped into the label of its cycle
+(_mult_points; k = 1 with alpha in H^2 is the derivation by a label class,
+k = 0 the unit).  The boundary class ((2,), (0,)) acts as the cut-and-join
+of Lehn's boundary operator (Lehn, Invent. Math. 136, 1999;
+_mult_boundary).  mult_an takes these closed forms whenever a reduced
+factor has all parts 1 or is the boundary class, and the S_n kernel for
+every other product.
 """
 
 from functools import cache, lru_cache
@@ -347,14 +352,55 @@ def _mult_an_cached(a, b, n):
     return tuple(sorted(out))
 
 
-def _mult_deg2(a, b, n):
-    """The product of a reduced degree-2 symbol a with b at n, in closed form.
+def _mult_points(a, b, n):
+    """The product of a reduced symbol a = ((1,)*k, (alpha_1..alpha_k)) with b at n.
 
-    a symmetrized is Z_a times the sum of its conjugates, and each conjugate
-    meets b's model (b padded to n, unit points included) with no graph
-    defect.  A label class ((1,), (alpha,)) cups alpha into the label of the
-    part holding its point: part j is hit lambda_j times.  The boundary class
-    ((2,), (0,)) is a transposition: inside part j it cuts lambda_j into
+    a symmetrized is (n - k)! times the sum over the injective placements of
+    its k labelled points into {0, ..., n-1}, and each placement meets b's
+    model (b padded to n, unit points included) with no graph defect and one
+    orbit per cycle of b: alpha_i is cupped into the label of the cycle that
+    holds its point.  So the placements are counted on multiset states of
+    (part, label, free points) entries, one step per alpha_i: an entry held c
+    times with f free points takes alpha_i in c * f ways, and a zero cup
+    drops the state.
+    """
+    # a state is its entries sorted ascending; read backwards, a canonical symbol
+    runs = groupby(zip(*pad_class(b, n)))
+    start = tuple(((p, l, p), len(list(run))) for (p, l), run in runs)[::-1]
+    states = {start: factorial(n - len(a[0]))}
+    for alpha in a[1]:
+        nxt = {}
+        for state, v in states.items():
+            for (p, l, free), c in state:
+                if not free:
+                    continue
+                for r, w in k3.cup_list([alpha, l]).items():
+                    rest = dict(state)
+                    if c > 1:
+                        rest[p, l, free] = c - 1
+                    else:
+                        del rest[p, l, free]
+                    rest[p, r, free - 1] = rest.get((p, r, free - 1), 0) + 1
+                    key = tuple(sorted(rest.items()))
+                    nxt[key] = nxt.get(key, 0) + v * c * free * w
+        states = nxt
+    acc = {}
+    for state, v in states.items():
+        parts, labels = [], []
+        for (p, l, _), c in reversed(state):
+            parts += [p] * c
+            labels += [l] * c
+        sym = (tuple(parts), tuple(labels))
+        acc[sym] = acc.get(sym, 0) + v
+    return {s: v for s, v in acc.items() if v}
+
+
+def _mult_boundary(b, n):
+    """The product of the boundary class ((2,), (0,)) with b at n, in closed form.
+
+    The class symmetrized is Z = 2 (n - 2)! times the sum of the
+    transpositions, and each meets b's model (b padded to n, unit points
+    included) with no graph defect.  Inside part j it cuts lambda_j into
     (k, lambda_j - k), lambda_j ways (lambda_j / 2 when 2k = lambda_j) with
     the labels comultiplied; across parts j and k it joins them,
     lambda_j * lambda_k ways with the labels cupped.
@@ -373,10 +419,6 @@ def _mult_deg2(a, b, n):
         acc[key] = acc.get(key, 0) + v
 
     for i, ((p, l), c) in enumerate(groups):
-        if a[0] == (1,):  # a derivation on the labels
-            for r, v in k3.cup_list([a[1][0], l]).items():
-                add([(p, l)], [(p, r)], c * p * v)
-            continue
         for k in range(1, p // 2 + 1):  # cuts
             w = c * (p // 2 if 2 * k == p else p)
             for (l1, l2), v in k3._coprod_items(2, l):
@@ -386,24 +428,24 @@ def _mult_deg2(a, b, n):
             if ways:
                 for r, v in k3.cup_list([l, m]).items():
                     add([(p, l), (q, m)], [(p + q, r)], ways * p * q * v)
-    z = an_z(pad_class(a, n))
+    z = 2 * factorial(n - 2)
     return {s: z * v for s, v in acc.items() if v}
 
 
-def _is_deg2(sym):
-    """Whether a reduced symbol is a label class of H^2 or the boundary class."""
-    return sym == ((2,), (UNIT,)) or (sym[0] == (1,) and 1 <= sym[1][0] <= 22)
+_BOUNDARY = ((2,), (UNIT,))
 
 
 def mult_an(a, b, n, *, canonical=False):
     """Product of two creation symbols at ambient n, as {symbol: int coeff}.
 
     Symbols heavier than n are the zero class, so the product is empty.  A
-    degree-2 factor takes the closed form of _mult_deg2.  Otherwise the side
-    with the larger stabilizer at the reduced ambient is symmetrized, so
-    (a, b) and (b, a) share one cache entry.  canonical=True takes a and b as
-    canonical symbols, as the integral base change makes them, and does not
-    validate them again.
+    reduced factor with all parts 1 (the unit included) takes the closed form
+    of _mult_points, the one with fewer parts if both qualify; the boundary
+    class ((2,), (0,)) takes that of _mult_boundary.  Every other product runs
+    through the S_n kernel, with the side of the larger stabilizer at the
+    reduced ambient symmetrized, so (a, b) and (b, a) share one cache entry.
+    canonical=True takes a and b as canonical symbols, as the integral base
+    change makes them, and does not validate them again.
     """
     if canonical:
         a, b = reduce_class(a), reduce_class(b)
@@ -413,10 +455,13 @@ def mult_an(a, b, n, *, canonical=False):
     sa, sb = sum(a[0]), sum(b[0])
     if sa > n or sb > n:
         return {}
-    if _is_deg2(a):
-        return _mult_deg2(a, b, n)
-    if _is_deg2(b):
-        return _mult_deg2(b, a, n)
+    # a factor of 1-cycles is placed into the other, the shorter if both are
+    if set(b[0]) <= {1} and (len(b[0]) < len(a[0]) or set(a[0]) - {1}):
+        a, b = b, a
+    if set(a[0]) <= {1}:
+        return _mult_points(a, b, n)
+    if _BOUNDARY in (a, b):
+        return _mult_boundary(a if b == _BOUNDARY else b, n)
     m = min(n, sa + sb)
     if (an_z(pad_class(a, m)), a) < (an_z(pad_class(b, m)), b):
         a, b = b, a

@@ -97,8 +97,8 @@ def _crea_to_int_items(sym):
     return _tensor(factors)
 
 
-def _scaled(sym, n):
-    padded = pad_class(canonical_class(*sym), n)
+def _scaled(sym, n, canonical=False):
+    padded = pad_class(sym if canonical else canonical_class(*sym), n)
     return None if padded is None else _int_to_crea_items(padded)
 
 
@@ -141,10 +141,10 @@ def _to_integral(acc, den):
     return {s: v // den for s, v in out.items() if v}
 
 
-def _cup(factors, n):
+def _cup(factors, n, canonical=False):
     """Integer numerators in the creation basis over the product of the
     factors' denominators, multiplied, then divided back exactly."""
-    scaled = [_scaled(f, n) for f in factors]
+    scaled = [_scaled(f, n, canonical) for f in factors]
     if None in scaled:
         return {}
     den, items = scaled[0]
@@ -160,14 +160,16 @@ def cup_int(a, b, n):
     return _cup((a, b), n)
 
 
-def cup_int_list(factors, n):
+def cup_int_list(factors, n, *, canonical=False):
     """Cup product of a list of integral classes; equals iterated cup_int.
 
     Stays in the creation basis between factors, converting back once.
+    canonical=True takes the factors as canonical symbols, as `hilb_base`
+    makes them, and does not validate them again.
     """
     if not factors:
         raise ValueError("need at least one factor")
-    return _cup(factors, n)
+    return _cup(factors, n, canonical)
 
 
 # ---------------------------------------------------------------------------

@@ -440,10 +440,10 @@ def full_ambient_mult_an(a, b, n):
 
 
 def sn_kernel_mult_an(a, b, n, *, canonical=False):
-    """`lehn_sorger.mult_an` without its closed form for a degree-2 factor:
-    every product runs through the S_n kernel `_mult_an_cached`, with the
-    same choice of the symmetrized side.  Takes mult_an's `canonical` flag
-    and validates regardless."""
+    """`lehn_sorger.mult_an` without its closed forms for a factor of 1-cycles
+    and for the boundary class: every product runs through the S_n kernel
+    `_mult_an_cached`, with the same choice of the symmetrized side.  Takes
+    mult_an's `canonical` flag and validates regardless."""
     from k3hilb.hilb_basis import an_z, canonical_class, pad_class, reduce_class
     from k3hilb.lehn_sorger import _mult_an_cached
 

@@ -278,7 +278,7 @@ def test_distinct_rows_equal_dense_dedup():
 
 def _assert_columns_match_s_n_kernel(n, kind, monkeypatch):
     """Every column of a cokernel map, through mult_an (whose degree-2 factors
-    take the closed form) and again with every product through the S_n kernel."""
+    take the closed forms) and again with every product through the S_n kernel."""
     if kind == "h2xh4":
         domain = list(product(hilb_base(n, 2), hilb_base(n, 4)))
     else:

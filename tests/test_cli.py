@@ -85,6 +85,38 @@ def test_cup_forced_large_weight_blocks(n, a, b, stdout):
     assert text.strip() == stdout
 
 
+def test_cup_point_classes_text():
+    # integral classes of 1-cycles with repeated H^2 labels: their creation
+    # expansions (through psi) mix 1-cycle symbols, which take the closed
+    # form, with 2-cycles, which take the S_n kernel
+    code, text = invoke("cup", "--n", "8", "([1-1],[1,1])", "([1-1],[2,2])")
+    assert code == 0
+    assert text.strip() == (
+        "[(([1-1-1-1-1-1-1-1],[2,2,1,1,0,0,0,0]),1),"
+        "(([1-1-1-1-1-1-1-1],[23,2,1,0,0,0,0,0]),1),"
+        "(([2-1-1-1-1-1-1],[23,1,0,0,0,0,0]),-1),"
+        "(([2-1-1-1-1-1-1],[23,2,0,0,0,0,0]),-1),"
+        "(([3-1-1-1-1-1],[23,0,0,0,0,0]),1)]"
+    )
+
+
+def test_cup_point_classes_json():
+    code, text = invoke("--json", "cup", "--n", "8", "([1-1],[1,2])", "([1-1],[2,1])")
+    assert code == 0
+    assert json.loads(text) == {
+        "n": 8,
+        "factors": [{"part": [1, 1], "labels": [2, 1]}] * 2,
+        "terms": [
+            {"part": [1] * 8, "labels": [2, 2, 1, 1, 0, 0, 0, 0], "coeff": "4"},
+            {"part": [1] * 8, "labels": [23, 2, 1, 0, 0, 0, 0, 0], "coeff": "2"},
+            {"part": [1] * 8, "labels": [23, 23, 0, 0, 0, 0, 0, 0], "coeff": "1"},
+            {"part": [2] + [1] * 6, "labels": [1, 2, 2, 0, 0, 0, 0], "coeff": "2"},
+            {"part": [2] + [1] * 6, "labels": [2, 1, 1, 0, 0, 0, 0], "coeff": "2"},
+            {"part": [2, 2] + [1] * 4, "labels": [2, 1, 0, 0, 0, 0], "coeff": "1"},
+        ],
+    }
+
+
 def test_cup_universal_text():
     code, text = invoke("cup-universal", "([2],[0])", "([2],[0])")
     assert code == 0

@@ -9,6 +9,7 @@ from k3hilb.hilb_basis import an_z, canonical_class, hilb_base, pad_class, reduc
 from k3hilb.lehn_sorger import (
     _expand,
     _mult_an_cached,
+    _mult_points,
     _label_shape,
     _orbit_factors,
     _symmetrized_shape,
@@ -330,7 +331,8 @@ def test_mult_an_matches_full_ambient_oracle(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_mult_deg2_matches_s_n_oracles(n):
-    # the closed form for a degree-2 factor against products through the S_n
+    # the closed forms for a degree-2 factor (the boundary's cut-and-join, and
+    # _mult_points for a label class) against products through the S_n
     # kernel: the naive double symmetrization while n!^2 is small, else all
     # conjugates at the full ambient; seeded b of every weight up to n, with
     # labels that cup to nonzero classes, in both argument orders
@@ -349,7 +351,7 @@ def test_mult_deg2_matches_s_n_oracles(n):
 
 def test_mult_deg2_matches_s_n_kernel_on_bases():
     # every degree-2 symbol against every basis symbol of degree <= 4 at
-    # n <= 4, closed form against the kernel (_mult_an_cached) directly
+    # n <= 4, closed forms against the kernel (_mult_an_cached) directly
     for n in range(1, 5):
         for a in hilb_base(n, 2):
             ra = reduce_class(a)
@@ -358,6 +360,67 @@ def test_mult_deg2_matches_s_n_kernel_on_bases():
                     rb = reduce_class(b)
                     kernel = dict(_mult_an_cached(ra, rb, n))
                     assert mult_an(a, b, n) == kernel == mult_an(b, a, n), (a, b)
+
+
+def test_mult_points_matches_s_n_kernel_on_bases():
+    # every reduced 1-cycle symbol of degree <= 6 with labels among 1, 2, 7,
+    # 8 and 23 (classes of square 0 and -2, two pairs with product 1, the
+    # point) against every basis symbol of degree <= 6 labelled by these and
+    # the unit, at n <= 4, in both orders, closed form against the kernel;
+    # all 24 labels would take millions of kernel products
+    labels = {0, 1, 2, 7, 8, 23}
+    checked = nonzero = 0
+    for n in range(1, 5):
+        basis = [
+            (s, reduce_class(s))
+            for d in (0, 2, 4, 6)
+            for s in hilb_base(n, d)
+            if set(s[1]) <= labels
+        ]
+        for a, ra in basis:
+            if set(ra[0]) - {1}:
+                continue
+            for b, rb in basis:
+                kernel = dict(_mult_an_cached(ra, rb, n))
+                assert mult_an(a, b, n) == kernel == mult_an(b, a, n), (a, b)
+                checked += 1
+                nonzero += bool(kernel)
+    assert (checked, nonzero) == (7116, 3708)
+
+
+def _random_points(rng, k):
+    """A reduced symbol of k labelled points, labels repeating and point labels likely."""
+    return canonical_class((1,) * k, [rng.choice((1, 1, 2, 7, 15, 23)) for _ in range(k)])
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_mult_points_matches_full_ambient_oracle(n):
+    # seeded k = 1...4 points against b of every weight up to n, and against
+    # b whose long cycles carry the unit, products on all n points as oracle
+    rng = random.Random(3000 + n)
+    nonzero = 0
+    for k in range(1, 5):
+        a = _random_points(rng, k)
+        for b in (
+            _random_reduced(rng, rng.randint(1, n)),
+            canonical_class((n - 2, 2), (0, 0)),
+            canonical_class((3, 1), (0, rng.choice((1, 2, 7)))),
+        ):
+            expected = oracles.full_ambient_mult_an(a, b, n)
+            assert mult_an(a, b, n) == expected, (a, b)
+            assert mult_an(pad_class(b, n), pad_class(a, n), n) == expected, (a, b)
+            nonzero += bool(expected)
+    assert nonzero >= 6
+
+
+def test_mult_points_unit():
+    # the reduced unit, k = 0, places nothing: b padded to n, times n!
+    for n in range(1, 5):
+        for d in (0, 2, 4, 6):
+            for b in hilb_base(n, d)[:40]:
+                rb = reduce_class(b)
+                assert _mult_points(((), ()), rb, n) == {b: factorial(n)}
+                assert dict(_mult_an_cached(((), ()), rb, n)) == {b: factorial(n)}
 
 
 def test_cup_int_hilb8_matches_full_ambient_products(monkeypatch):

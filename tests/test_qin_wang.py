@@ -175,6 +175,25 @@ def test_cup_int_list_consistency():
         cup_int_list([], 2)
 
 
+def test_cup_int_list_validates_unless_canonical():
+    # public calls canonicalize and validate each factor; canonical=True takes
+    # hilb_base symbols as given, with the same product
+    rng = random.Random(52)
+    for n in (2, 3, 4):
+        pool = [s for d in (2, 4) for s in hilb_base(n, d)]
+        for _ in range(8):
+            factors = [rng.choice(pool) for _ in range(rng.randint(2, 3))]
+            want = cup_int_list(factors, n, canonical=True)
+            shuffled = [(p[::-1], l[::-1]) for p, l in factors]
+            assert cup_int_list(shuffled, n) == want
+            assert cup_int_list(shuffled[::-1], n) == want
+            assert cup_int_list([(list(p), list(l)) for p, l in shuffled], n) == want
+    with pytest.raises(ValueError):
+        cup_int_list([((1,), (24,)), ((2,), (0,))], 3)
+    with pytest.raises(ValueError):
+        cup_int_list([((2,), (0,)), ((1, 1), (1, 24))], 3)
+
+
 def test_denes_coefficients():
     one2 = c((2,), (0,))
     for k in (2, 3, 4):
