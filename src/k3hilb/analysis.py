@@ -199,13 +199,13 @@ def _integral_gram(gc, n):
     return g
 
 
-def middle_gram_matrix(n, gc=None):
+def middle_gram_matrix(n):
     """Gram matrix of the integral pairing on the degree-2n basis of Hilb^n, dense.
 
-    Built as C^T G_crea C from the creation-basis pairing `gc` (computed here
-    unless given), so no integral product is ever taken.
+    Built as C^T G_crea C from the creation-basis pairing, so no integral
+    product is ever taken.
     """
-    rows = _integral_gram(creation_gram(n) if gc is None else gc, n)
+    rows = _integral_gram(creation_gram(n), n)
     return [[row.get(j, 0) for j in range(len(rows))] for row in rows]
 
 

@@ -20,6 +20,7 @@ from .hilb_basis import (
     format_class,
     hilb_base,
     parse_class,
+    reduce_class,
 )
 from .qin_wang import cup_int, cup_universal
 
@@ -115,6 +116,13 @@ def cmd_cup(args, out):
 def cmd_cup_universal(args, out):
     a = _parse_class_arg(args.a)
     b = _parse_class_arg(args.b)
+    # the products are sampled at every n up to at least w(a) + w(b) + 1
+    w = sum(reduce_class(a)[0]) + sum(reduce_class(b)[0])
+    if w > MAX_PRODUCT_N and not args.force:
+        raise UsageError(
+            f"cup-universal: w(a) + w(b) = {w} exceeds the default limit "
+            f"{MAX_PRODUCT_N}; pass --force to override"
+        )
     coeffs = cup_universal(a, b)
     if args.json:
         json.dump(

@@ -14,10 +14,11 @@ orbit's labels before any pi*tau-cycle is walked.  mult_sn checks its terms.
 
 Symbols (parts, labels) embed by symmetrization: a symbol maps to the sum of
 all conjugates of its model term.  to_sn returns the distinct conjugates and
-the integer multiplicity with which each occurs; mult_an combines both to
-multiply symbols, staying in exact integers.  It multiplies at the ambient
-min(n, s(a) + s(b)), s the weight without the (1, unit) padding, rescales to
-n, and reads off classes directly, never forming canonical terms.
+the integer multiplicity with which each occurs, cached per padded symbol;
+mult_an combines both to multiply symbols, staying in exact integers.  It
+multiplies at the ambient min(n, s(a) + s(b)), s the weight without the
+(1, unit) padding, rescales to n, and reads off classes directly, never
+forming canonical terms.  Symbol products are not cached.
 
 Two kinds of factor need no conjugates, orbits or Euler class (Lehn and
 Sorger, Duke Math. J. 110, 2001).  A factor of 1-cycles ((1,)*k, (alpha_i))
@@ -32,7 +33,7 @@ factor has all parts 1 or is the boundary class, and the S_n kernel for
 every other product.
 """
 
-from functools import cache, lru_cache
+from functools import cache
 from itertools import combinations, groupby, permutations
 from math import factorial, perm
 
@@ -80,26 +81,13 @@ def model_term(parts, labels):
 
 
 def common_orbits(p, t):
-    """Orbits of the subgroup generated by two permutations on the same points.
-
-    Computed by folding the cycles of t into the cycles of p, merging
-    everything an incoming cycle touches.  Returned as sorted tuples, ordered
-    by (size, elements).
-    """
+    """Orbits of the subgroup generated by two permutations on the same points,
+    found by the product's orbit walk, as sorted tuples ordered by (size, elements)."""
     if len(p) != len(t):
         raise ValueError("permutations act on different point sets")
-    orbits = [set(c) for c in cycles_of(p)]
-    for cyc in cycles_of(t):
-        touched = set(cyc)
-        rest = []
-        for orb in orbits:
-            if orb & touched:
-                touched |= orb
-            else:
-                rest.append(orb)
-        rest.append(touched)
-        orbits = rest
-    result = [tuple(sorted(orb)) for orb in orbits]
+    t1, t2 = ([(c, UNIT) for c in cycles_of(q)] for q in (p, t))
+    orbits, _ = _orbits(t1, _term_arrays(t1, len(p))[1], t2, _term_arrays(t2, len(t))[1])
+    result = [tuple(sorted(v for i in ps for v in t1[i][0])) for ps, _ in orbits]
     result.sort(key=lambda orb: (len(orb), orb))
     return result
 
@@ -125,19 +113,13 @@ def _term_arrays(term, n):
     return nxt, owner
 
 
-def _orbit_factors(t1, t2, arrays2):
-    """The product of two canonical terms, orbit by orbit of <p, t>.
+def _orbits(t1, own1, t2, own2):
+    """The orbits of <p, t> for terms t1 of p and t2 of t on the same points.
 
-    One list of (pieces, coeff) options per common orbit: the labels inside
-    the orbit are cupped, multiplied by e^g for its graph defect g and
-    redistributed onto the p*t-cycles inside it.  None when an orbit
-    contributes nothing.  The terms must split the same points {0, ..., n-1}
-    into cycles (mult_sn checks this); arrays2 is _term_arrays(t2, n).
+    The components of the pieces of t1 and t2 sharing a point, as a list of
+    (t1 piece indices, t2 piece indices), and the orbit index of each t1
+    piece; own1 and own2 map each point to the index of its piece.
     """
-    t, own2 = arrays2
-    p, own1 = _term_arrays(t1, len(t))
-
-    # the orbits are the components of the pieces of t1 and t2 sharing a point
     orbit_of = [-1] * len(t1)
     taken = [False] * len(t2)
     orbits = []
@@ -157,6 +139,21 @@ def _orbit_factors(t1, t2, arrays2):
                             orbit_of[own1[w]] = k
                             ps.append(own1[w])
         orbits.append((ps, ts))
+    return orbits, orbit_of
+
+
+def _orbit_factors(t1, t2, arrays2):
+    """The product of two canonical terms, orbit by orbit of <p, t>.
+
+    One list of (pieces, coeff) options per common orbit: the labels inside
+    the orbit are cupped, multiplied by e^g for its graph defect g and
+    redistributed onto the p*t-cycles inside it.  None when an orbit
+    contributes nothing.  The terms must split the same points {0, ..., n-1}
+    into cycles (mult_sn checks this); arrays2 is _term_arrays(t2, n).
+    """
+    t, own2 = arrays2
+    p, own1 = _term_arrays(t1, len(t))
+    orbits, orbit_of = _orbits(t1, own1, t2, own2)
 
     # most products die here, on a zero cup of some orbit's labels
     glued = []
@@ -201,7 +198,7 @@ def _expand(factors, key_of, acc):
         rec(0, (), 1)
 
 
-@lru_cache(maxsize=262144)
+@cache
 def _mult_sn_items(t1, t2):
     """Product of two canonical terms, as sorted ((term, coeff), ...) items."""
     acc = {}
@@ -219,14 +216,6 @@ def mult_sn(a, b):
     return dict(_mult_sn_items(a, b))
 
 
-def _label_shape(labels):
-    """Relabel to a canonical pattern preserving order and equality of values."""
-    distinct = sorted(set(labels))
-    pattern = tuple(distinct.index(l) + 1 for l in labels)
-    back = {i + 1: l for i, l in enumerate(distinct)}
-    return pattern, back
-
-
 def _distinct_cycles(support):
     """All distinct cycles on a support, oriented with the maximum first."""
     support = sorted(support)
@@ -236,8 +225,8 @@ def _distinct_cycles(support):
 
 
 @cache
-def _symmetrized_shape(parts, pattern):
-    """Distinct conjugates of the model term with pattern labels, plus multiplicity.
+def _symmetrized_shape(parts, labels):
+    """Distinct conjugates of the model term of (parts, labels), plus multiplicity.
 
     Conjugates are enumerated directly: group equal (part, label) pairs, pick
     unordered disjoint supports for each group (minima increasing breaks the
@@ -246,7 +235,7 @@ def _symmetrized_shape(parts, pattern):
     """
     n = sum(parts)
     groups = []
-    for size, label in zip(parts, pattern):
+    for size, label in zip(parts, labels):
         if groups and groups[-1][0] == (size, label):
             groups[-1][1] += 1
         else:
@@ -297,13 +286,8 @@ def to_sn(sym, n):
     padded = pad_class(sym, n)
     if padded is None:
         raise ValueError(f"symbol of weight {sum(sym[0])} does not fit ambient n={n}")
-    parts, labels = padded
-    pattern, back = _label_shape(labels)
-    shaped, mult = _symmetrized_shape(parts, pattern)
+    terms, mult = _symmetrized_shape(*padded)
     assert mult == an_z(padded)
-    terms = tuple(
-        tuple((cyc, back[lab]) for cyc, lab in term) for term in shaped
-    )
     return terms, mult
 
 
@@ -314,8 +298,7 @@ def _reduced_key(pieces):
     return tuple(key)
 
 
-@lru_cache(maxsize=262144)
-def _mult_an_cached(a, b, n):
+def _mult_kernel(a, b, n):
     """The product of reduced symbols at n, a symmetrized, computed at m <= n.
 
     Let O be the (1, unit) points of b's model; Sym(O) fixes the model, so a
@@ -345,11 +328,10 @@ def _mult_an_cached(a, b, n):
                 raise ArithmeticError(f"orbit sum {v} at m={m} does not rescale to n={n}")
             if q:
                 acc[key] = acc.get(key, 0) + q
-    out = []
-    for key, v in acc.items():
-        sym = (tuple(length for length, _ in key), tuple(lab for _, lab in key))
-        out.append((pad_class(sym, n), mult * v))
-    return tuple(sorted(out))
+    return {
+        pad_class((tuple(p for p, _ in key), tuple(lab for _, lab in key)), n): mult * v
+        for key, v in acc.items()
+    }
 
 
 def _mult_points(a, b, n):
@@ -442,8 +424,9 @@ def mult_an(a, b, n, *, canonical=False):
     reduced factor with all parts 1 (the unit included) takes the closed form
     of _mult_points, the one with fewer parts if both qualify; the boundary
     class ((2,), (0,)) takes that of _mult_boundary.  Every other product runs
-    through the S_n kernel, with the side of the larger stabilizer at the
-    reduced ambient symmetrized, so (a, b) and (b, a) share one cache entry.
+    through the S_n kernel, which symmetrizes the side with the larger
+    stabilizer at the reduced ambient: it has the fewer conjugates, and (a, b)
+    and (b, a) run the same computation.
     canonical=True takes a and b as canonical symbols, as the integral base
     change makes them, and does not validate them again.
     """
@@ -465,4 +448,4 @@ def mult_an(a, b, n, *, canonical=False):
     m = min(n, sa + sb)
     if (an_z(pad_class(a, m)), a) < (an_z(pad_class(b, m)), b):
         a, b = b, a
-    return dict(_mult_an_cached(a, b, n))
+    return _mult_kernel(a, b, n)

@@ -7,12 +7,13 @@ base-change coefficients from brute polynomial expansion and from Moebius sums
 over set partitions, basis dimensions from a truncated two-variable product
 series, symbol products from the fully naive double symmetrization, from all
 conjugates at the full ambient or from the S_n kernel alone, symbol conjugates
-by skip-and-retry enumeration, the orbit product of two terms from permutation
-tuples, the creation pairing from symbol products, the integral base change
-and integral products through exact Fractions, cokernel reports through the
-dense matrix views and a dense row transform, integer ranks from sparse
-elimination over one large prime field (the Smith form only settles a
-rank-deficient case), and signatures by rational congruence diagonalization.
+by skip-and-retry enumeration, the orbits of two permutations by folding
+cycles together, the orbit product of two terms from permutation tuples, the
+creation pairing from symbol products, the integral base change and integral
+products through exact Fractions, cokernel reports through the dense matrix
+views and a dense row transform, integer ranks from sparse elimination over
+one large prime field (the Smith form only settles a rank-deficient case),
+and signatures by rational congruence diagonalization.
 The helpers at the end are small ones that only the tests call.
 """
 
@@ -279,6 +280,34 @@ def naive_symmetrization(term, n, canonical):
     return counts
 
 
+def common_orbits_by_folding(p, t):
+    """Orbits of the subgroup generated by two permutations on the same points,
+    as `lehn_sorger.common_orbits` gives them.
+
+    Computed by folding the cycles of t into the cycles of p, merging
+    everything an incoming cycle touches.  Returned as sorted tuples, ordered
+    by (size, elements).
+    """
+    from k3hilb.partitions import cycles_of
+
+    if len(p) != len(t):
+        raise ValueError("permutations act on different point sets")
+    orbits = [set(c) for c in cycles_of(p)]
+    for cyc in cycles_of(t):
+        touched = set(cyc)
+        rest = []
+        for orb in orbits:
+            if orb & touched:
+                touched |= orb
+            else:
+                rest.append(orb)
+        rest.append(touched)
+        orbits = rest
+    result = [tuple(sorted(orb)) for orb in orbits]
+    result.sort(key=lambda orb: (len(orb), orb))
+    return result
+
+
 def graph_defect(p, t, orbit):
     """The graph defect g of a common orbit of p and t: by Riemann-Hurwitz,
     2g = |orbit| + 2 minus the cycles of p, t and p*t inside the orbit."""
@@ -300,11 +329,11 @@ def orbit_factors_by_permutations(t1, t2):
 
     Both terms become image tuples, checked by `perm_from_cycles`; p*t is
     composed and split into cycles by `cycles_of`, and the orbits come from
-    `common_orbits`.  Each orbit's pieces, p*t-cycles and graph defect are
-    found by scanning every cycle for a point of the orbit.
+    `common_orbits_by_folding`.  Each orbit's pieces, p*t-cycles and graph
+    defect are found by scanning every cycle for a point of the orbit.
     """
     from k3hilb import k3
-    from k3hilb.lehn_sorger import _defect, common_orbits
+    from k3hilb.lehn_sorger import _defect
     from k3hilb.partitions import cycles_of
 
     n = sum(len(c) for c, _ in t1)
@@ -315,7 +344,7 @@ def orbit_factors_by_permutations(t1, t2):
     pt_cycles = cycles_of(compose(p, t))
 
     factors = []
-    for orbit in common_orbits(p, t):
+    for orbit in common_orbits_by_folding(p, t):
         members = set(orbit)
         labels = [lab for c, lab in t1 if c[0] in members]
         labels += [lab for c, lab in t2 if c[0] in members]
@@ -337,8 +366,8 @@ def orbit_factors_by_permutations(t1, t2):
     return factors
 
 
-def symmetrized_shape_by_enumeration(parts, pattern):
-    """Distinct conjugates of the model term with pattern labels, plus multiplicity.
+def symmetrized_shape_by_enumeration(parts, labels):
+    """Distinct conjugates of the model term of (parts, labels), plus multiplicity.
 
     For each group of equal (part, label) pairs, every support of every
     remaining size-subset is tried at each level and those whose minimum is
@@ -349,7 +378,7 @@ def symmetrized_shape_by_enumeration(parts, pattern):
 
     n = sum(parts)
     groups = []
-    for size, label in zip(parts, pattern):
+    for size, label in zip(parts, labels):
         if groups and groups[-1][0] == (size, label):
             groups[-1][1] += 1
         else:
@@ -442,10 +471,10 @@ def full_ambient_mult_an(a, b, n):
 def sn_kernel_mult_an(a, b, n, *, canonical=False):
     """`lehn_sorger.mult_an` without its closed forms for a factor of 1-cycles
     and for the boundary class: every product runs through the S_n kernel
-    `_mult_an_cached`, with the same choice of the symmetrized side.  Takes
+    `_mult_kernel`, with the same choice of the symmetrized side.  Takes
     mult_an's `canonical` flag and validates regardless."""
     from k3hilb.hilb_basis import an_z, canonical_class, pad_class, reduce_class
-    from k3hilb.lehn_sorger import _mult_an_cached
+    from k3hilb.lehn_sorger import _mult_kernel
 
     a, b = (reduce_class(canonical_class(*s)) for s in (a, b))
     sa, sb = sum(a[0]), sum(b[0])
@@ -454,7 +483,7 @@ def sn_kernel_mult_an(a, b, n, *, canonical=False):
     m = min(n, sa + sb)
     if (an_z(pad_class(a, m)), a) < (an_z(pad_class(b, m)), b):
         a, b = b, a
-    return dict(_mult_an_cached(a, b, n))
+    return _mult_kernel(a, b, n)
 
 
 # ---------------------------------------------------------------------------

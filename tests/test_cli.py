@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -121,6 +122,24 @@ def test_cup_universal_text():
     code, text = invoke("cup-universal", "([2],[0])", "([2],[0])")
     assert code == 0
     assert "([1],[23]) : c(n) = 1 + -1*n" in text
+
+
+def test_cup_universal_through_s_n_kernel_pinned():
+    # neither factor is a 1-cycle or the boundary class, so each sample runs
+    # the S_n kernel, and the samples at several n reuse the conjugates of a
+    code, text = invoke("cup-universal", "([3],[0])", "([2-1],[0,3])")
+    assert code == 0
+    lines = text.splitlines()
+    assert len(lines) == 159
+    assert lines[:3] == [
+        "([2-1],[3,23]) : c(n) = -1",
+        "([2-1],[23,3]) : c(n) = 2 + -1*n",
+        "([2-1-1],[0,23,3]) : c(n) = -2",
+    ]
+    assert lines[-2:] == ["([4-1],[0,3]) : c(n) = 4", "([3-2-1],[0,0,3]) : c(n) = 1"]
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "dfe34fc7496e698f3d6a7ef28387afe224e98d4338897b0935ed2cce04d7ed35"
+    )
 
 
 def test_cokernel_text():
@@ -298,6 +317,27 @@ def test_usage_error_jobs_out_of_range(jobs, monkeypatch):
     monkeypatch.setattr(cli, "cup_int", refuse)
     code, text = invoke("--jobs", str(jobs), "cup", "--n", "2", "([2],[0])", "([2],[0])")
     assert (code, text) == (2, "")
+
+
+def test_usage_error_cup_universal_weight_limit(monkeypatch, capsys):
+    # checked on the reduced weights before any product is taken
+    from k3hilb import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("products taken despite the weight limit")
+
+    monkeypatch.setattr(cli, "cup_universal", refuse)
+    for a, b in [("([5],[0])", "([5],[0])"), ("([5],[0])", "([4-1-1],[0,0,0])")]:
+        code, text = invoke("cup-universal", a, b)
+        assert (code, text) == (2, "")
+        assert "--force" in capsys.readouterr().err
+        code, text = invoke("--json", "cup-universal", a, b)
+        assert (code, text) == (2, "")
+    # unit points do not count: 4 + 4 is at the limit
+    with pytest.raises(AssertionError, match="despite the weight limit"):
+        invoke("cup-universal", "([4],[0])", "([4-1-1],[0,0,0])")
+    with pytest.raises(AssertionError, match="despite the weight limit"):
+        invoke("--force", "cup-universal", "([5],[0])", "([5],[0])")
 
 
 def test_module_entry_point_runs_selftest():

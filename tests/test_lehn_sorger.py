@@ -8,9 +8,8 @@ from k3hilb import qin_wang
 from k3hilb.hilb_basis import an_z, canonical_class, hilb_base, pad_class, reduce_class
 from k3hilb.lehn_sorger import (
     _expand,
-    _mult_an_cached,
+    _mult_kernel,
     _mult_points,
-    _label_shape,
     _orbit_factors,
     _symmetrized_shape,
     _term_arrays,
@@ -35,6 +34,21 @@ def test_common_orbits():
     assert common_orbits(p, t) == [(0, 1, 2)]
     p2 = perm_from_cycles(4, [(0, 1), (2, 3)])
     assert common_orbits(p2, identity_perm(4)) == [(0, 1), (2, 3)]
+    with pytest.raises(ValueError):
+        common_orbits(identity_perm(3), identity_perm(4))
+
+
+def test_common_orbits_matches_folding_oracle():
+    rng = random.Random(19)
+    merged = 0
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        p = tuple(rng.sample(range(n), n))
+        t = tuple(rng.sample(range(n), n))
+        got = common_orbits(p, t)
+        assert got == oracles.common_orbits_by_folding(p, t), (p, t)
+        merged += len(got) < len(oracles.cycle_type(p))
+    assert merged >= 100
 
 
 def test_graph_defect_examples():
@@ -58,18 +72,23 @@ def test_graph_defect_nonnegative_integral_random():
 
 
 def test_symmetrized_shape_matches_enumeration_oracle():
+    # every canonical labelling up to the order and equality of its labels,
+    # with the i-th smallest distinct label written as real[i]
+    real = (0, 1, 2, 7, 8, 23)
     shapes = set()
     for n in range(1, 7):
         for parts in part_of_weight(n):
-            # canonical label patterns: non-increasing within each run of equal parts
+            # non-increasing within each run of equal parts
             values = range(len(parts), 0, -1)
             runs = [combinations_with_replacement(values, len(list(g))) for _, g in groupby(parts)]
-            for labels in product(*runs):
-                shapes.add((parts, _label_shape(sum(labels, ()))[0]))
+            for picks in product(*runs):
+                labels = sum(picks, ())
+                distinct = sorted(set(labels))
+                shapes.add((parts, tuple(real[distinct.index(l)] for l in labels)))
     assert len(shapes) == 253
-    for parts, pattern in sorted(shapes):
-        got = _symmetrized_shape(parts, pattern)
-        assert got == oracles.symmetrized_shape_by_enumeration(parts, pattern), (parts, pattern)
+    for parts, labels in sorted(shapes):
+        got = _symmetrized_shape(parts, labels)
+        assert got == oracles.symmetrized_shape_by_enumeration(parts, labels), (parts, labels)
 
 
 def test_to_sn_examples():
@@ -99,6 +118,12 @@ def test_to_sn_matches_brute_force():
         (canonical_class((2, 2), (0, 0)), 4),
         (canonical_class((2, 1, 1), (3, 0, 0)), 4),
         (canonical_class((3, 1, 1), (23, 4, 4)), 5),
+        # the unit, the point and H^2 classes on equal parts
+        (canonical_class((2, 2, 1), (23, 0, 5)), 5),
+        (canonical_class((1, 1, 1, 1), (23, 23, 1, 0)), 4),
+        (canonical_class((3, 2), (0, 23)), 5),
+        (canonical_class((2, 2, 2), (1, 0, 23)), 6),
+        (canonical_class((2, 1, 1, 1), (8, 23, 7, 7)), 6),
     ]
     for sym, n in cases:
         terms, mult = to_sn(sym, n)
@@ -351,14 +376,14 @@ def test_mult_deg2_matches_s_n_oracles(n):
 
 def test_mult_deg2_matches_s_n_kernel_on_bases():
     # every degree-2 symbol against every basis symbol of degree <= 4 at
-    # n <= 4, closed forms against the kernel (_mult_an_cached) directly
+    # n <= 4, closed forms against the kernel (_mult_kernel) directly
     for n in range(1, 5):
         for a in hilb_base(n, 2):
             ra = reduce_class(a)
             for d in (0, 2, 4):
                 for b in hilb_base(n, d):
                     rb = reduce_class(b)
-                    kernel = dict(_mult_an_cached(ra, rb, n))
+                    kernel = _mult_kernel(ra, rb, n)
                     assert mult_an(a, b, n) == kernel == mult_an(b, a, n), (a, b)
 
 
@@ -381,7 +406,7 @@ def test_mult_points_matches_s_n_kernel_on_bases():
             if set(ra[0]) - {1}:
                 continue
             for b, rb in basis:
-                kernel = dict(_mult_an_cached(ra, rb, n))
+                kernel = _mult_kernel(ra, rb, n)
                 assert mult_an(a, b, n) == kernel == mult_an(b, a, n), (a, b)
                 checked += 1
                 nonzero += bool(kernel)
@@ -420,7 +445,7 @@ def test_mult_points_unit():
             for b in hilb_base(n, d)[:40]:
                 rb = reduce_class(b)
                 assert _mult_points(((), ()), rb, n) == {b: factorial(n)}
-                assert dict(_mult_an_cached(((), ()), rb, n)) == {b: factorial(n)}
+                assert _mult_kernel(((), ()), rb, n) == {b: factorial(n)}
 
 
 def test_cup_int_hilb8_matches_full_ambient_products(monkeypatch):
