@@ -200,7 +200,8 @@ def parse_class(text):
     """Parse the ``([p-p-...],[l,l,...])`` grammar back into a canonical symbol.
 
     Non-canonical pair order is canonicalized, never rejected; length
-    mismatches and out-of-range labels raise ValueError.
+    mismatches and out-of-range labels raise ValueError.  Parts and labels are
+    ASCII digits: "1_0", "+1" or a full-width digit raise ClassSyntaxError.
     """
     s = text.strip()
     offset = len(text) - len(text.lstrip())
@@ -208,6 +209,9 @@ def parse_class(text):
     def fail(msg, pos):
         raise ClassSyntaxError(msg, offset + pos)
 
+    for i, ch in enumerate(s):
+        if ch not in "()[]-, 0123456789":
+            fail(f"unexpected character {ch!r}", i)
     if not s.startswith("("):
         fail("expected '('", 0)
     if not s.endswith(")"):

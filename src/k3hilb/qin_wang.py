@@ -7,15 +7,17 @@ point-labeled subpartition passes through, and each H^2-labeled subpartition
 expands through the inverse power-sum/monomial base change.  The inverse
 direction uses z and the forward base change, and always lands in integers.
 
-Products of integral classes are computed by converting to creation symbols,
-multiplying in the symmetric-group model, and converting back once at the
-end; intermediate coefficients are integers over one denominator per product.
+A divisor class ([1],[alpha]), alpha in H^2, multiplies as a derivation on
+the integral symbols themselves, in integers (_mult_divisor).  The other
+factors of a product go to creation symbols, are multiplied in the
+symmetric-group model and come back once, as integers over one denominator.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import lcm, prod
+from math import factorial, lcm, prod
 from typing import NamedTuple
 
 from .hilb_basis import (
@@ -25,6 +27,7 @@ from .hilb_basis import (
     pad_class,
     reduce_class,
 )
+from .k3 import POINT, bil
 from .lehn_sorger import mult_an
 from .partitions import part_of_weight, part_z
 from .symfunc import psi, psi_inv
@@ -97,17 +100,13 @@ def _crea_to_int_items(sym):
     return _tensor(factors)
 
 
-def _scaled(sym, n, canonical=False):
-    padded = pad_class(sym if canonical else canonical_class(*sym), n)
-    return None if padded is None else _int_to_crea_items(padded)
-
-
 def int_to_crea(sym, n):
     """Expand an integral-basis symbol into creation symbols at ambient n.
 
     Exact rational coefficients; the zero class (overweight symbol) gives {}.
     """
-    den, items = _scaled(sym, n) or (1, ())
+    padded = pad_class(canonical_class(*sym), n)
+    den, items = _int_to_crea_items(padded) if padded else (1, ())
     return {s: Fraction(v, den) for s, v in items}
 
 
@@ -141,18 +140,75 @@ def _to_integral(acc, den):
     return {s: v // den for s, v in out.items() if v}
 
 
+def _mult_divisor(alpha, sym):
+    """The padded canonical symbol sym times ([1],[alpha]), alpha in H^2, as
+    {padded symbol: int}: the derivation q_k(b) -> k*q_k(alpha.b) (Lehn,
+    Invent. Math. 136, 1999) on the integral symbols.  A unit part k moves to
+    alpha (p_k times the alpha parts' m_mu; the 1/z factors cancel exactly).
+    Parts kappa of an H^2 label b, of length l, move as one part |kappa| to the
+    point with B(alpha, b)*(-1)^(l-1)*|kappa|*(l-1)!/prod m_i(kappa)!, the
+    coefficient of m_(mu-kappa) in |kappa|*dm_mu/dp_|kappa|.  Point parts
+    contribute nothing.
+    """
+    pairs = list(zip(*sym))
+    groups = {}
+    for (p, l), m in Counter(pairs).items():
+        groups.setdefault(l, {})[p] = m
+    mu = groups.get(alpha, {})
+    moves = [  # (pairs dropped, pair added, coefficient)
+        ([(k, 0)] + [(j, alpha)] * (j > 0), (j + k, alpha), mu.get(j + k, 0) + 1)
+        for k in groups.get(0, ())
+        for j in (0, *mu)
+    ]
+    for beta, kappa in groups.items():
+        b = bil(alpha, beta) if 0 < beta < POINT else 0
+        for counts in product(*(range(m + 1) for m in kappa.values())) if b else ():
+            drop = [(p, beta) for p, m in zip(kappa, counts) for _ in range(m)]
+            size, length = sum(p for p, _ in drop), len(drop)
+            if length:
+                c = size * factorial(length - 1) // prod(map(factorial, counts))
+                moves.append((drop, (size, POINT), b * (-1) ** (length - 1) * c))
+    out = {}
+    for drop, new, c in moves:
+        rest = pairs + [new]
+        for pair in drop:
+            rest.remove(pair)
+        rest.sort(reverse=True)
+        out[tuple(zip(*rest))] = c
+    return out
+
+
+def _divisor(sym):
+    """alpha if the padded symbol sym is ([1],[alpha]), alpha in H^2, else 0."""
+    parts, labels = sym
+    return labels[0] if parts[:1] == (1,) and 0 < labels[0] == sum(labels) < POINT else 0
+
+
 def _cup(factors, n, canonical=False):
-    """Integer numerators in the creation basis over the product of the
-    factors' denominators, multiplied, then divided back exactly."""
-    scaled = [_scaled(f, n, canonical) for f in factors]
-    if None in scaled:
+    """Divisor classes act by _mult_divisor; the other factors are multiplied
+    as creation numerators over one denominator and divided back exactly."""
+    padded = [pad_class(f if canonical else canonical_class(*f), n) for f in factors]
+    if None in padded:
         return {}
-    den, items = scaled[0]
-    acc = dict(items)
-    for d, items in scaled[1:]:
-        acc = _crea_product(acc, items, n)
-        den *= d
-    return _to_integral(acc, den)
+    alphas = [a for a in map(_divisor, padded) if a]
+    rest = [s for s in padded if not _divisor(s)]
+    if not rest:  # only divisor classes: start from the first
+        rest, alphas = padded[:1], alphas[1:]
+    acc = {rest[0]: 1}
+    if len(rest) > 1:
+        den, items = _int_to_crea_items(rest[0])
+        acc = dict(items)
+        for d, items in map(_int_to_crea_items, rest[1:]):
+            acc = _crea_product(acc, items, n)
+            den *= d
+        acc = _to_integral(acc, den)
+    for alpha in alphas:
+        nxt = {}
+        for s, v in acc.items():
+            for t, c in _mult_divisor(alpha, s).items():
+                nxt[t] = nxt.get(t, 0) + v * c
+        acc = {t: v for t, v in nxt.items() if v}
+    return acc
 
 
 def cup_int(a, b, n):
@@ -163,9 +219,9 @@ def cup_int(a, b, n):
 def cup_int_list(factors, n, *, canonical=False):
     """Cup product of a list of integral classes; equals iterated cup_int.
 
-    Stays in the creation basis between factors, converting back once.
-    canonical=True takes the factors as canonical symbols, as `hilb_base`
-    makes them, and does not validate them again.
+    Divisor classes act by _mult_divisor; the others stay in the creation
+    basis until the end.  canonical=True takes the factors as canonical
+    symbols, as `hilb_base` makes them, and does not validate them again.
     """
     if not factors:
         raise ValueError("need at least one factor")

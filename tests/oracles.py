@@ -486,6 +486,26 @@ def sn_kernel_mult_an(a, b, n, *, canonical=False):
     return _mult_kernel(a, b, n)
 
 
+def cup_by_creation(factors, n):
+    """`qin_wang.cup_int_list` with every factor in the creation basis: each
+    factor's integer numerators over its denominator, multiplied through
+    `qin_wang.mult_an` (so a test can replace it), then divided back exactly.
+    No divisor class takes `qin_wang._mult_divisor`."""
+    from k3hilb.hilb_basis import canonical_class, pad_class
+    from k3hilb.qin_wang import _crea_product, _int_to_crea_items, _to_integral
+
+    padded = [pad_class(canonical_class(*f), n) for f in factors]
+    if None in padded:
+        return {}
+    scaled = [_int_to_crea_items(s) for s in padded]
+    den, items = scaled[0]
+    acc = dict(items)
+    for d, items in scaled[1:]:
+        acc = _crea_product(acc, items, n)
+        den *= d
+    return _to_integral(acc, den)
+
+
 # ---------------------------------------------------------------------------
 # integral base change and products through Fractions
 

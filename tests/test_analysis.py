@@ -277,15 +277,24 @@ def test_distinct_rows_equal_dense_dedup():
 
 
 def _assert_columns_match_s_n_kernel(n, kind, monkeypatch):
-    """Every column of a cokernel map, through mult_an (whose degree-2 factors
-    take the closed forms) and again with every product through the S_n kernel."""
+    """Every column of a cokernel map, through the closed forms (the divisor
+    derivation of the integral basis, and mult_an's for degree-2 factors), and
+    again with every factor in the creation basis and every product through
+    the S_n kernel."""
     if kind == "h2xh4":
         domain = list(product(hilb_base(n, 2), hilb_base(n, 4)))
     else:
         domain = list(combinations_with_replacement(hilb_base(n, 2), 2 if kind == "sym2" else 3))
     closed = analysis._columns(domain, n, 1)
-    monkeypatch.setattr(qin_wang, "mult_an", oracles.sn_kernel_mult_an)
-    assert analysis._columns(domain, n, 1) == closed
+    calls = []
+
+    def kernel(a, b, n, *, canonical=False):
+        calls.append(1)
+        return oracles.sn_kernel_mult_an(a, b, n, canonical=canonical)
+
+    monkeypatch.setattr(qin_wang, "mult_an", kernel)
+    assert [oracles.cup_by_creation(f, n) for f in domain] == closed
+    assert len(calls) >= len(domain)  # every column went through the S_n kernel
     assert any(closed) or n == 1
 
 

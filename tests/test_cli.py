@@ -282,6 +282,39 @@ def test_usage_error_bad_class():
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["([1_0],[0])", "([\uff11],[3])", "([+1],[3])", "([1],[+3])", "([1],[3_])", "([1],[\u0663])"],
+)
+def test_usage_error_class_digits_not_ascii(text, capsys):
+    # int() would read "1_0" as 10, "+1" as 1 and a full-width or Arabic-Indic digit
+    code, out = invoke("cup", "--n", "2", text, "([1],[3])")
+    assert (code, out) == (2, "")
+    assert "bad class" in capsys.readouterr().err
+
+
+def test_cup_class_spaces_allowed():
+    code, out = invoke("cup", "--n", "2", " ( [ 1 ] , [ 3 ] ) ", "([ 1 ],[ 3 ])")
+    assert (code, out) == (0, "[(([1-1],[3,3]),2),(([2],[3]),1)]\n")
+
+
+def test_sym2_generators_take_one_creation_product(monkeypatch):
+    # every column but the boundary square is a divisor derivation: no mult_an
+    from k3hilb import qin_wang
+
+    calls = []
+    real = qin_wang.mult_an
+
+    def counted(a, b, n, **kwargs):
+        calls.append((a, b))
+        return real(a, b, n, **kwargs)
+
+    monkeypatch.setattr(qin_wang, "mult_an", counted)
+    code, _ = invoke("cokernel", "--n", "3", "--map", "sym2", "--check-generators")
+    assert code == 0
+    assert calls == [(((2, 1), (0, 0)), ((2, 1), (0, 0)))]
+
+
 def test_usage_error_size_limit():
     code, _ = invoke("cup", "--n", "9", "([2],[0])", "([2],[0])")
     assert code == 2

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -352,3 +353,77 @@ def test_base_change_matches_fraction_oracle_random():
         # one denominator: every coefficient times it is an integer
         den, _ = _int_to_crea_items(pad_class(sym, n))
         assert all((v * den).denominator == 1 for v in want.values())
+
+
+# ---------------------------------------------------------------------------
+# the divisor derivation on integral symbols, against the creation path
+
+DIVISOR_LABELS = (1, 2, 7, 8, 15, 22)  # two hyperbolic planes' ends, both -E8 blocks
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_mult_divisor_matches_creation_path_on_bases(n):
+    from k3hilb.qin_wang import _mult_divisor
+
+    for d in range(0, 4 * n + 1, 2):
+        for sym in hilb_base(n, d):
+            for alpha in DIVISOR_LABELS:
+                want = oracles.cup_by_creation([((1,), (alpha,)), sym], n)
+                assert _mult_divisor(alpha, sym) == want, (alpha, sym)
+
+
+def test_mult_divisor_matches_creation_path_random():
+    # alpha is drawn next to the symbol's own H^2 labels, so B(alpha, beta) != 0
+    # and beta = alpha both come up, and the point parts grow
+    from k3hilb.qin_wang import _mult_divisor
+
+    rng = random.Random(61)
+    transfers = 0
+    for _ in range(150):
+        n = rng.randint(4, 8)
+        sym = pad_class(_random_symbol(rng, n), n)
+        h2 = [l for l in sym[1] if 0 < l < 23] or [rng.randint(1, 22)]
+        alpha = min(22, max(1, rng.choice(h2) + rng.choice((-1, 0, 0, 1))))
+        got = _mult_divisor(alpha, sym)
+        assert got == oracles.cup_by_creation([sym, ((1,), (alpha,))], n), (alpha, sym)
+        transfers += any(s[1].count(23) > sym[1].count(23) for s in got)
+    assert transfers > 50
+
+
+def test_cup_int_list_divisor_chains_match_creation_path():
+    # all divisors, one other factor, two others: the boundary class among the
+    # others keeps the creation path
+    rng = random.Random(62)
+    for n in (2, 3, 4, 5):
+        others = [c((2,), (0,))] + list(hilb_base(n, 2)[:3]) + rng.sample(hilb_base(n, 4), 6)
+        for k in (0, 1, 2):
+            for _ in range(4):
+                factors = [((1,), (rng.choice(DIVISOR_LABELS),)) for _ in range(3 - k)]
+                factors += rng.sample(others, k)
+                rng.shuffle(factors)
+                want = oracles.cup_by_creation(factors, n)
+                assert cup_int_list(factors, n) == want, factors
+                padded = [pad_class(f, n) for f in factors]
+                assert cup_int_list(padded, n, canonical=True) == want, factors
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_fujiki_relation_on_h2_of_k3(n):
+    # int a^(2n) = (2n)! / (n! 2^n) * B(a, a)^n for a in H^2(K3): 2n - 1
+    # derivations by a, read at the top class (Fujiki, Adv. Stud. Pure Math. 10, 1987)
+    from k3hilb.k3 import bil
+    from k3hilb.qin_wang import _mult_divisor
+
+    rng = random.Random(70 + n)
+    for _ in range(3):
+        a = {i: rng.choice((-2, -1, 1, 2)) for i in rng.sample(range(1, 23), 3)}
+        vec = {pad_class(((1,), (i,)), n): x for i, x in a.items()}
+        for _ in range(2 * n - 1):
+            out = {}
+            for sym, v in vec.items():
+                for i, x in a.items():
+                    for t, w in _mult_divisor(i, sym).items():
+                        out[t] = out.get(t, 0) + v * x * w
+            vec = {t: v for t, v in out.items() if v}
+        q = sum(x * y * bil(i, j) for i, x in a.items() for j, y in a.items())
+        assert oracles.integrate(n, vec) == factorial(2 * n) // (factorial(n) * 2**n) * q**n, a
