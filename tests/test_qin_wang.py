@@ -358,7 +358,7 @@ def test_base_change_matches_fraction_oracle_random():
 # ---------------------------------------------------------------------------
 # the divisor derivation on integral symbols, against the creation path
 
-DIVISOR_LABELS = (1, 2, 7, 8, 15, 22)  # two hyperbolic planes' ends, both -E8 blocks
+DIVISOR_LABELS = (1, 2, 7, 8, 15, 22)  # a hyperbolic plane and both -E8 blocks
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
