@@ -13,7 +13,6 @@ import sys
 
 from . import analysis
 from .hilb_basis import (
-    ClassSyntaxError,
     an_sort_key,
     betti,
     canonical_class,
@@ -52,9 +51,7 @@ def _json_terms(vec):
 def _parse_class_arg(text):
     try:
         return parse_class(text)
-    except ClassSyntaxError as exc:
-        raise UsageError(f"bad class {text!r}: {exc}") from exc
-    except ValueError as exc:
+    except ValueError as exc:  # ClassSyntaxError included
         raise UsageError(f"bad class {text!r}: {exc}") from exc
 
 

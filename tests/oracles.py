@@ -469,10 +469,10 @@ def full_ambient_mult_an(a, b, n):
 
 
 def sn_kernel_mult_an(a, b, n, *, canonical=False):
-    """`lehn_sorger.mult_an` without its closed forms for a factor of 1-cycles
-    and for the boundary class: every product runs through the S_n kernel
-    `_mult_kernel`, with the same choice of the symmetrized side.  Takes
-    mult_an's `canonical` flag and validates regardless."""
+    """`lehn_sorger.mult_an` without its closed form `_mult_placed` for a
+    factor of cycle type (1^k) or (2, 1^k): every product runs through the
+    S_n kernel `_mult_kernel`, with the same choice of the symmetrized side.
+    Takes mult_an's `canonical` flag and validates regardless."""
     from k3hilb.hilb_basis import an_z, canonical_class, pad_class, reduce_class
     from k3hilb.lehn_sorger import _mult_kernel
 

@@ -293,6 +293,14 @@ def test_usage_error_class_digits_not_ascii(text, capsys):
     assert "bad class" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["([1],[24])", "([2-1],[0])"])
+def test_usage_error_class_out_of_range_or_mismatched(text, capsys):
+    # a label beyond the 24 K3 classes, and two parts with one label
+    code, out = invoke("cup", "--n", "2", text, "([1],[3])")
+    assert (code, out) == (2, "")
+    assert "bad class" in capsys.readouterr().err
+
+
 def test_cup_class_spaces_allowed():
     code, out = invoke("cup", "--n", "2", " ( [ 1 ] , [ 3 ] ) ", "([ 1 ],[ 3 ])")
     assert (code, out) == (0, "[(([1-1],[3,3]),2),(([2],[3]),1)]\n")

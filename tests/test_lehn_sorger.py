@@ -9,7 +9,7 @@ from k3hilb.hilb_basis import an_z, canonical_class, hilb_base, pad_class, reduc
 from k3hilb.lehn_sorger import (
     _expand,
     _mult_kernel,
-    _mult_points,
+    _mult_placed,
     _orbit_factors,
     _symmetrized_shape,
     _term_arrays,
@@ -356,11 +356,12 @@ def test_mult_an_matches_full_ambient_oracle(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_mult_deg2_matches_s_n_oracles(n):
-    # the closed forms for a degree-2 factor (the boundary's cut-and-join, and
-    # _mult_points for a label class) against products through the S_n
-    # kernel: the naive double symmetrization while n!^2 is small, else all
-    # conjugates at the full ambient; seeded b of every weight up to n, with
-    # labels that cup to nonzero classes, in both argument orders
+    # the closed form for a degree-2 factor (_mult_placed: the boundary's
+    # cut-and-join, and one placed point for a label class) against products
+    # through the S_n kernel: the naive double symmetrization while n!^2 is
+    # small, else all conjugates at the full ambient; seeded b of every
+    # weight up to n, with labels that cup to nonzero classes, in both
+    # argument orders
     rng = random.Random(2000 + n)
     oracle = oracles.naive_mult_an if n <= 4 else oracles.full_ambient_mult_an
     nonzero = 0
@@ -439,13 +440,69 @@ def test_mult_points_matches_full_ambient_oracle(n):
 
 
 def test_mult_points_unit():
-    # the reduced unit, k = 0, places nothing: b padded to n, times n!
-    for n in range(1, 5):
+    # the reduced unit, k = 0, places nothing: b padded to n, times n!, also
+    # at n = 0, where the one state is empty
+    for n in range(5):
         for d in (0, 2, 4, 6):
             for b in hilb_base(n, d)[:40]:
                 rb = reduce_class(b)
-                assert _mult_points(((), ()), rb, n) == {b: factorial(n)}
+                assert _mult_placed(((), ()), rb, n) == {b: factorial(n)}
                 assert _mult_kernel(((), ()), rb, n) == {b: factorial(n)}
+
+
+def test_mult_placed_two_cycle_matches_s_n_kernel_on_bases():
+    # every reduced (2, 1^k) symbol of degree <= 6 with labels among 0, 1, 2,
+    # 7, 8 and 23 against every basis symbol of degree <= 6 labelled by these,
+    # at n <= 4, in both orders, closed form against the kernel
+    labels = {0, 1, 2, 7, 8, 23}
+    checked = nonzero = 0
+    for n in range(1, 5):
+        basis = [
+            (s, reduce_class(s))
+            for d in (0, 2, 4, 6)
+            for s in hilb_base(n, d)
+            if set(s[1]) <= labels
+        ]
+        for a, ra in basis:
+            if ra[0][:1] != (2,) or set(ra[0][1:]) - {1}:
+                continue
+            for b, rb in basis:
+                kernel = _mult_kernel(ra, rb, n)
+                assert mult_an(a, b, n) == kernel == mult_an(b, a, n), (a, b)
+                checked += 1
+                nonzero += bool(kernel)
+    assert (checked, nonzero) == (5504, 2864)
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_mult_placed_two_cycle_matches_full_ambient_oracle(n):
+    # seeded ((2, 1^k), (beta, alpha_1..alpha_k)), k = 0...3, against b of
+    # every weight up to n, and against b whose cycles the 2-cycle joins
+    # before the points are placed into the joined cycle: a 3-cycle with a
+    # unit point, or two cycles with H^2 labels of product 1; products on
+    # all n points as oracle
+    rng = random.Random(4000 + n)
+    nonzero = 0
+    for k in range(4):
+        beta = rng.choice((0, 0, 1, 7))
+        alphas = [rng.choice((1, 2, 7, 8, 23)) for _ in range(k)]
+        a = canonical_class((2,) + (1,) * k, [beta] + alphas)
+        for b in (
+            _random_reduced(rng, rng.randint(1, n)),
+            canonical_class((3,), (8,)),
+            canonical_class((2, 2), (7, 8)),
+        ):
+            expected = oracles.full_ambient_mult_an(a, b, n)
+            assert mult_an(a, b, n) == expected, (a, b)
+            assert mult_an(pad_class(b, n), pad_class(a, n), n) == expected, (a, b)
+            nonzero += bool(expected)
+    # ((3,), (8,)) joined with a unit point, then alpha = 7 placed into the
+    # 4-cycle, which keeps the 2 points the 2-cycle did not take
+    a, b = ((2, 1), (0, 7)), ((3,), (8,))
+    expected = oracles.full_ambient_mult_an(a, b, n)
+    assert _mult_placed(a, b, n) == expected
+    assert expected[pad_class(((4,), (23,)), n)]
+    assert nonzero >= 6
 
 
 def test_cup_int_hilb8_matches_full_ambient_products(monkeypatch):
