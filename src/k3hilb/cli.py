@@ -51,7 +51,7 @@ def _json_terms(vec):
 def _parse_class_arg(text):
     try:
         return parse_class(text)
-    except ValueError as exc:  # ClassSyntaxError included
+    except ValueError as exc:  # a ClassSyntaxError is a ValueError
         raise UsageError(f"bad class {text!r}: {exc}") from exc
 
 
