@@ -55,36 +55,42 @@ def deg(i):
     raise ValueError(f"not a K3 index: {i}")
 
 
-def _block_value(i, j, e8_table):
-    i, j = min(i, j), max(i, j)
-    if not 0 <= i <= j <= 23:
+def _table(e8_table):
+    """A 24 x 24 form from its block layout: B(1, x) = 1, the three hyperbolic
+    planes on 1-2, 3-4, 5-6 and e8_table on 7-14 and 15-22."""
+    rows = [[0] * 24 for _ in INDICES]
+    rows[UNIT][POINT] = rows[POINT][UNIT] = 1
+    for lo in (1, 3, 5):
+        rows[lo][lo + 1] = rows[lo + 1][lo] = 1
+    for lo in (7, 15):
+        for a, row in enumerate(e8_table):
+            rows[lo + a][lo : lo + 8] = row
+    return tuple(map(tuple, rows))
+
+
+# B and its inverse, built once
+_B, _B_INV = _table(E8), _table(INV_E8)
+
+
+def _entry(table, i, j):
+    if not (0 <= i <= 23 and 0 <= j <= 23):
         raise ValueError(f"not a K3 index pair: ({i}, {j})")
-    if i == 0:
-        return 1 if j == 23 else 0
-    if j == 23:
-        return 0
-    for lo in (1, 3, 5):  # the three hyperbolic planes
-        if lo <= i <= lo + 1 and lo <= j <= lo + 1:
-            return 0 if i == j else 1
-    for lo in (7, 15):  # the two -E8 blocks
-        if lo <= i <= lo + 7 and lo <= j <= lo + 7:
-            return e8_table[i - lo][j - lo]
-    return 0
+    return table[i][j]
 
 
 def bil(i, j):
     """The symmetric bilinear form B on H*(S, Z)."""
-    return _block_value(i, j, E8)
+    return _entry(_B, i, j)
 
 
 def bil_inv(i, j):
     """Entry of the inverse of B; integral since B is unimodular."""
-    return _block_value(i, j, INV_E8)
+    return _entry(_B_INV, i, j)
 
 
 def gram_matrix():
     """The full 24 x 24 matrix of B."""
-    return [[bil(i, j) for j in INDICES] for i in INDICES]
+    return [list(row) for row in _B]
 
 
 def cup_list(factors):
@@ -120,7 +126,7 @@ def _coprod2(k):
         acc = {(UNIT, POINT): -1, (POINT, UNIT): -1}
         for i in H2_INDICES:
             for j in H2_INDICES:
-                acc[i, j] = -bil_inv(i, j)
+                acc[i, j] = -_B_INV[i][j]
     elif k in H2_INDICES:
         acc = {(k, POINT): -1, (POINT, k): -1}
     else:

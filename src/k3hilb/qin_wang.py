@@ -7,8 +7,10 @@ point-labeled subpartition passes through, and each H^2-labeled subpartition
 expands through the inverse power-sum/monomial base change.  The inverse
 direction uses z and the forward base change, and always lands in integers.
 
-A divisor class ([1],[alpha]), alpha in H^2, multiplies as a derivation on
-the integral symbols themselves, in integers (_mult_divisor).  The other
+Every degree-2 class acts on the integral symbols themselves, in integers,
+through Lehn's operators read as moves of parts between labels: a divisor
+class ([1],[alpha]), alpha in H^2, as a derivation (_mult_divisor), and the
+boundary class ([2],[0]) as a cut-and-join (_mult_boundary).  The other
 factors of a product go to creation symbols, are multiplied in the
 symmetric-group model and come back once, as integers over one denominator.
 """
@@ -17,9 +19,10 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
-from math import factorial, lcm, prod
+from math import factorial, gcd, prod
 from typing import NamedTuple
 
+from . import k3
 from .hilb_basis import (
     an_sort_key,
     canonical_class,
@@ -27,10 +30,10 @@ from .hilb_basis import (
     pad_class,
     reduce_class,
 )
-from .k3 import POINT, bil
+from .k3 import POINT, UNIT
 from .lehn_sorger import mult_an
 from .partitions import part_of_weight, part_z
-from .symfunc import psi, psi_inv
+from .symfunc import _weight_block, psi
 
 __all__ = [
     "int_to_crea",
@@ -72,7 +75,7 @@ def _tensor(factor_lists):
 @cache
 def _int_to_crea_items(sym):
     """(den, items): the creation coefficients of sym as integers over den, the
-    unit parts' z times the lcm of the psi_inv denominators of each H^2 label."""
+    unit parts' z times, per H^2 label, the denominator of its psi^-1 row."""
     den, factors = 1, []
     for label, parts in _label_subparts(sym):
         if label == 0:
@@ -80,10 +83,14 @@ def _int_to_crea_items(sym):
         if label in (0, 23):
             opts = [(parts, 1)]
         else:
-            opts = [(rho, psi_inv(parts, rho)) for rho in part_of_weight(sum(parts))]
-            d = lcm(*(c.denominator for _, c in opts))
-            den *= d
-            opts = [(rho, c.numerator * d // c.denominator) for rho, c in opts if c]
+            # the row of psi^-1 scaled by its diagonal d, in lowest terms
+            w = sum(parts)
+            index, block, inv_rows = _weight_block(w)
+            i = index[parts]
+            row = inv_rows[i]
+            g = gcd(block[i][i], *row)
+            den *= block[i][i] // g
+            opts = [(rho, r // g) for rho, r in zip(part_of_weight(w), row) if r]
         factors.append([(tuple((p, label) for p in rho), c) for rho, c in opts])
     return den, _tensor(factors)
 
@@ -140,60 +147,165 @@ def _to_integral(acc, den):
     return {s: v // den for s, v in out.items() if v}
 
 
+# Multiplication by a degree-2 class on the integral symbols.  Each label's
+# parts mu stand for one symmetric function in the creation operators of that
+# label: p_mu/z_mu for the unit, m_mu for an H^2 label and p_mu for the
+# point.  A state {label: parts} is a padded symbol grouped by label.
+
+
+def _kind(label):
+    """The label's function type: UNIT, POINT, or 1 for an H^2 label."""
+    return label if label in (UNIT, POINT) else 1
+
+
+def _without(parts, p):
+    i = parts.index(p)
+    return parts[:i] + parts[i + 1 :]
+
+
+def _with(parts, p):
+    return tuple(sorted((*parts, p), reverse=True))
+
+
+@cache
+def _removals(kind, parts):
+    """k*d/dp_k of one label's function of `parts`, for every k, as (k, rest, c).
+
+    A unit part k goes with c = 1 (the 1/z factors cancel) and a point part k
+    with c = k*m_k.  An H^2 label drops a sub-multiset kappa, |kappa| = k,
+    with c = (-1)^(l-1)*k*(l-1)!/prod m_i(kappa)!, l = l(kappa): the
+    coefficient of m_(mu-kappa) in k*dm_mu/dp_k.
+    """
+    counts = Counter(parts)
+    if kind != 1:
+        return tuple((k, _without(parts, k), 1 if kind == UNIT else k * m) for k, m in counts.items())
+    out = []
+    for drop in product(*(range(m + 1) for m in counts.values())):
+        length = sum(drop)
+        if length:
+            k = sum(p * d for p, d in zip(counts, drop))
+            c = k * factorial(length - 1) // prod(map(factorial, drop))
+            rest = tuple(p for (p, m), d in zip(counts.items(), drop) for _ in range(m - d))
+            out.append((k, rest, (-1) ** (length - 1) * c))
+    return tuple(out)
+
+
+@cache
+def _additions(kind, parts, k):
+    """p_k times one label's function of `parts`, as (new parts, c).
+
+    The unit takes a new part k with c = k*m_k of the result, the point one
+    with c = 1.  An H^2 label grows a part j in {0} and its parts to j + k,
+    with c the multiplicity of j + k in the result.
+    """
+    if kind != 1:
+        new = _with(parts, k)
+        return ((new, k * new.count(k) if kind == UNIT else 1),)
+    out = []
+    for j in dict.fromkeys((0, *parts)):
+        new = _with(_without(parts, j) if j else parts, j + k)
+        out.append((new, new.count(j + k)))
+    return tuple(out)
+
+
+@cache
+def _cup_items(l, m):
+    return tuple(k3.cup_list([l, m]).items())
+
+
+def _groups(sym):
+    groups = {}
+    for p, l in zip(*sym):
+        groups[l] = groups.get(l, ()) + (p,)
+    return groups
+
+
+def _symbol(state):
+    """The canonical symbol of a state."""
+    pairs = [(p, l) for l, parts in state.items() for p in parts]
+    pairs.sort(reverse=True)
+    return tuple(zip(*pairs))
+
+
 def _mult_divisor(alpha, sym):
     """The padded canonical symbol sym times ([1],[alpha]), alpha in H^2, as
     {padded symbol: int}: the derivation q_k(b) -> k*q_k(alpha.b) (Lehn,
-    Invent. Math. 136, 1999) on the integral symbols.  A unit part k moves to
-    alpha (p_k times the alpha parts' m_mu; the 1/z factors cancel exactly).
-    Parts kappa of an H^2 label b, of length l, move as one part |kappa| to the
-    point with B(alpha, b)*(-1)^(l-1)*|kappa|*(l-1)!/prod m_i(kappa)!, the
-    coefficient of m_(mu-kappa) in |kappa|*dm_mu/dp_|kappa|.  Point parts
-    contribute nothing.
+    Invent. Math. 136, 1999), that is R_k = k*d/dp_k on each label b
+    (_removals) followed by p_k on alpha.b (_additions).  A unit part moves to
+    alpha, the parts of an H^2 label b to the point with B(alpha, b), and
+    point parts stay.
     """
-    pairs = list(zip(*sym))
-    groups = {}
-    for (p, l), m in Counter(pairs).items():
-        groups.setdefault(l, {})[p] = m
-    mu = groups.get(alpha, {})
-    moves = [  # (pairs dropped, pair added, coefficient)
-        ([(k, 0)] + [(j, alpha)] * (j > 0), (j + k, alpha), mu.get(j + k, 0) + 1)
-        for k in groups.get(0, ())
-        for j in (0, *mu)
-    ]
-    for beta, kappa in groups.items():
-        b = bil(alpha, beta) if 0 < beta < POINT else 0
-        for counts in product(*(range(m + 1) for m in kappa.values())) if b else ():
-            drop = [(p, beta) for p, m in zip(kappa, counts) for _ in range(m)]
-            size, length = sum(p for p, _ in drop), len(drop)
-            if length:
-                c = size * factorial(length - 1) // prod(map(factorial, counts))
-                moves.append((drop, (size, POINT), b * (-1) ** (length - 1) * c))
+    groups = _groups(sym)
     out = {}
-    for drop, new, c in moves:
-        rest = pairs + [new]
-        for pair in drop:
-            rest.remove(pair)
-        rest.sort(reverse=True)
-        out[tuple(zip(*rest))] = c
-    return out
+    for l, parts in groups.items():
+        for r, u in _cup_items(alpha, l):
+            for k, rest, c in _removals(_kind(l), parts):
+                for new, x in _additions(_kind(r), rest if r == l else groups.get(r, ()), k):
+                    t = _symbol({**groups, l: rest, r: new})
+                    out[t] = out.get(t, 0) + c * u * x
+    return {t: v for t, v in out.items() if v}
 
 
-def _divisor(sym):
-    """alpha if the padded symbol sym is ([1],[alpha]), alpha in H^2, else 0."""
+def _mult_boundary(sym):
+    """The padded canonical symbol sym times the boundary class ([2],[0]), as
+    {padded symbol: int}.
+
+    Lehn's cut-and-join operator (Invent. Math. 136, 1999) as moves of parts
+    between labels.  Twice the product is the sum, over ordered choices, of
+    the cuts, R_k on a label l and then p_j on l1 and p_(k-j) on l2 for
+    0 < j < k and each term l1 (x) l2 of the coproduct of l, and the joins,
+    R_k on l, then R_k' on m, then p_(k+k') on l.m.  The halving is exact.
+    """
+    groups = _groups(sym)
+    out = {}
+    for l, parts in groups.items():
+        for k, rest, c in _removals(_kind(l), parts):
+            cut = {**groups, l: rest}
+            for (l1, l2), x in k3._coprod_items(2, l):
+                for j in range(1, k):
+                    for p1, x1 in _additions(_kind(l1), cut.get(l1, ()), j):
+                        p2s = _additions(_kind(l2), p1 if l2 == l1 else cut.get(l2, ()), k - j)
+                        for p2, x2 in p2s:
+                            t = _symbol({**cut, l1: p1, l2: p2})
+                            out[t] = out.get(t, 0) + c * x * x1 * x2
+            for m, parts_m in cut.items():
+                cups = _cup_items(l, m)
+                for k2, rest2, c2 in _removals(_kind(m), parts_m) if cups else ():
+                    for r, u in cups:
+                        for new, x in _additions(_kind(r), rest2 if r == m else cut.get(r, ()), k + k2):
+                            t = _symbol({**cut, m: rest2, r: new})
+                            out[t] = out.get(t, 0) + c * c2 * u * x
+    for v in out.values():
+        if v % 2:
+            raise NonIntegralError(f"non-integral coefficient {Fraction(v, 2)}")
+    return {t: v // 2 for t, v in out.items() if v}
+
+
+def _operator(sym):
+    """The action of the padded symbol sym as a factor, or None: _mult_divisor
+    for ([1],[alpha]), alpha in H^2, and _mult_boundary for ([2],[0])."""
     parts, labels = sym
-    return labels[0] if parts[:1] == (1,) and 0 < labels[0] == sum(labels) < POINT else 0
+    if parts[:1] == (1,) and 0 < labels[0] == sum(labels) < POINT:
+        return lambda s: _mult_divisor(labels[0], s)
+    if parts[:1] == (2,) and sum(parts) == len(parts) + 1 and not any(labels):
+        return _mult_boundary
+    return None
 
 
 def _cup(factors, n, canonical=False):
-    """Divisor classes act by _mult_divisor; the other factors are multiplied
-    as creation numerators over one denominator and divided back exactly."""
+    """Divisor classes and the boundary class act by _mult_divisor and
+    _mult_boundary; the other factors are multiplied as creation numerators
+    over one denominator and divided back exactly.  A product of operator
+    factors alone starts from the boundary class if it has one."""
     padded = [pad_class(f if canonical else canonical_class(*f), n) for f in factors]
     if None in padded:
         return {}
-    alphas = [a for a in map(_divisor, padded) if a]
-    rest = [s for s in padded if not _divisor(s)]
-    if not rest:  # only divisor classes: start from the first
-        rest, alphas = padded[:1], alphas[1:]
+    ops = list(map(_operator, padded))
+    rest = [s for s, op in zip(padded, ops) if op is None]
+    if not rest:  # only operators: start from the boundary class, else the first
+        i = ops.index(_mult_boundary) if _mult_boundary in ops else 0
+        rest = [padded[i]]
+        del ops[i]
     acc = {rest[0]: 1}
     if len(rest) > 1:
         den, items = _int_to_crea_items(rest[0])
@@ -202,10 +314,10 @@ def _cup(factors, n, canonical=False):
             acc = _crea_product(acc, items, n)
             den *= d
         acc = _to_integral(acc, den)
-    for alpha in alphas:
+    for op in filter(None, ops):
         nxt = {}
         for s, v in acc.items():
-            for t, c in _mult_divisor(alpha, s).items():
+            for t, c in op(s).items():
                 nxt[t] = nxt.get(t, 0) + v * c
         acc = {t: v for t, v in nxt.items() if v}
     return acc
@@ -219,8 +331,8 @@ def cup_int(a, b, n):
 def cup_int_list(factors, n, *, canonical=False):
     """Cup product of a list of integral classes; equals iterated cup_int.
 
-    Divisor classes act by _mult_divisor; the others stay in the creation
-    basis until the end.  canonical=True takes the factors as canonical
+    Divisor classes and the boundary class act on the integral symbols; the
+    others stay in the creation basis until the end.  canonical=True takes the factors as canonical
     symbols, as `hilb_base` makes them, and does not validate them again.
     """
     if not factors:

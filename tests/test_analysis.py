@@ -278,9 +278,9 @@ def test_distinct_rows_equal_dense_dedup():
 
 def _assert_columns_match_s_n_kernel(n, kind, monkeypatch):
     """Every column of a cokernel map, through the closed forms (the divisor
-    derivation of the integral basis, and mult_an's for degree-2 factors), and
-    again with every factor in the creation basis and every product through
-    the S_n kernel."""
+    and boundary rules on the integral symbols), and again with every factor
+    in the creation basis and every product through the S_n kernel, so the
+    boundary block is never compared with itself."""
     if kind == "h2xh4":
         domain = list(product(hilb_base(n, 2), hilb_base(n, 4)))
     else:
@@ -363,6 +363,23 @@ def test_mixed_columns_match_s_n_kernel_stretch(n, monkeypatch):
     # the h2xh4 matrices whose cokernels fail the criteria above: the closed
     # form and the S_n kernel give the same columns
     _assert_columns_match_s_n_kernel(n, "h2xh4", monkeypatch)
+
+
+@pytest.mark.stretch
+def test_mixed_cokernel_hilb5_takes_no_creation_product_stretch(monkeypatch):
+    # every h2xh4 column at n = 5, the boundary block included, stays on the
+    # integral symbols
+    calls = []
+    real = qin_wang.mult_an
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(qin_wang, "mult_an", counted)
+    report = cokernel_report(5, "h2xh4")
+    assert report.codomain_dim > 0
+    assert calls == []
 
 
 @pytest.mark.stretch

@@ -306,21 +306,27 @@ def test_cup_class_spaces_allowed():
     assert (code, out) == (0, "[(([1-1],[3,3]),2),(([2],[3]),1)]\n")
 
 
-def test_sym2_generators_take_one_creation_product(monkeypatch):
-    # every column but the boundary square is a divisor derivation: no mult_an
+def test_sym2_generators_take_no_creation_product(monkeypatch):
+    # every column is a divisor derivation or the boundary rule on the
+    # integral symbols: no creation product and no base change either way
     from k3hilb import qin_wang
 
     calls = []
-    real = qin_wang.mult_an
 
-    def counted(a, b, n, **kwargs):
-        calls.append((a, b))
-        return real(a, b, n, **kwargs)
+    def counted(name):
+        real = getattr(qin_wang, name)
 
-    monkeypatch.setattr(qin_wang, "mult_an", counted)
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("mult_an", "_int_to_crea_items", "_crea_to_int_items"):
+        monkeypatch.setattr(qin_wang, name, counted(name))
     code, _ = invoke("cokernel", "--n", "3", "--map", "sym2", "--check-generators")
     assert code == 0
-    assert calls == [(((2, 1), (0, 0)), ((2, 1), (0, 0)))]
+    assert calls == []
 
 
 def test_usage_error_size_limit():

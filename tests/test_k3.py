@@ -35,6 +35,20 @@ def test_bil_inv_entries_and_identity():
             assert total == (1 if i == j else 0)
 
 
+@pytest.mark.parametrize("i,j", [(24, 0), (0, 24), (-1, 0), (0, -1), (-24, 5)])
+def test_form_tables_reject_indices_out_of_range(i, j):
+    # the tables are tuples, so a negative index must not wrap around
+    for form in (k3.bil, k3.bil_inv):
+        with pytest.raises(ValueError):
+            form(i, j)
+
+
+def test_gram_matrix_is_a_fresh_copy():
+    g = k3.gram_matrix()
+    g[7][7] = 5
+    assert k3.gram_matrix()[7][7] == k3.bil(7, 7) == -2
+
+
 def test_bil_symmetric_unimodular_signature():
     g = k3.gram_matrix()
     assert all(g[i][j] == g[j][i] for i in k3.INDICES for j in k3.INDICES)

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
 from k3hilb.hilb_basis import canonical_class, deg, hilb_base, pad_class, reduce_class
+from k3hilb.partitions import part_of_weight, part_z
 from k3hilb.qin_wang import (
     UniversalCoeff,
     crea_to_int,
@@ -353,6 +354,16 @@ def test_base_change_matches_fraction_oracle_random():
         # one denominator: every coefficient times it is an integer
         den, _ = _int_to_crea_items(pad_class(sym, n))
         assert all((v * den).denominator == 1 for v in want.values())
+        # den is the unit parts' z times the lcm of each H^2 label's psi^-1
+        # denominators
+        want_den = 1
+        for label, parts in oracles._label_subparts(pad_class(sym, n)):
+            if label == 0:
+                want_den *= part_z(parts)
+            elif label != 23:
+                rhos = part_of_weight(sum(parts))
+                want_den *= lcm(*(psi_inv(parts, rho).denominator for rho in rhos))
+        assert den == want_den, sym
 
 
 # ---------------------------------------------------------------------------
@@ -391,8 +402,8 @@ def test_mult_divisor_matches_creation_path_random():
 
 
 def test_cup_int_list_divisor_chains_match_creation_path():
-    # all divisors, one other factor, two others: the boundary class among the
-    # others keeps the creation path
+    # all divisors, one other factor, two others; the boundary class is among
+    # the others
     rng = random.Random(62)
     for n in (2, 3, 4, 5):
         others = [c((2,), (0,))] + list(hilb_base(n, 2)[:3]) + rng.sample(hilb_base(n, 4), 6)
@@ -427,3 +438,83 @@ def test_fujiki_relation_on_h2_of_k3(n):
             vec = {t: v for t, v in out.items() if v}
         q = sum(x * y * bil(i, j) for i, x in a.items() for j, y in a.items())
         assert oracles.integrate(n, vec) == factorial(2 * n) // (factorial(n) * 2**n) * q**n, a
+
+
+# ---------------------------------------------------------------------------
+# the boundary class on integral symbols, against the creation path
+
+DELTA = ((2,), (0,))
+
+
+def _assert_boundary_matches_creation_path(n, degrees):
+    from k3hilb.qin_wang import _mult_boundary
+
+    for d in degrees:
+        for sym in hilb_base(n, d):
+            assert _mult_boundary(sym) == oracles.cup_by_creation([DELTA, sym], n), sym
+
+
+@pytest.mark.parametrize("n,top", [(1, 4), (2, 8), (3, 12), (4, 6)])
+def test_mult_boundary_matches_creation_path_on_bases(n, top):
+    # every degree at n <= 3; at n = 4 the degrees up to 6
+    _assert_boundary_matches_creation_path(n, range(0, top + 1, 2))
+
+
+@pytest.mark.stretch
+def test_mult_boundary_matches_creation_path_hilb4_stretch():
+    _assert_boundary_matches_creation_path(4, (8,))
+
+
+def test_mult_boundary_matches_creation_path_random():
+    from k3hilb.qin_wang import _mult_boundary
+
+    rng = random.Random(63)
+    for _ in range(120):
+        n = rng.randint(5, 8)
+        sym = pad_class(_random_symbol(rng, n), n)
+        assert _mult_boundary(sym) == oracles.cup_by_creation([sym, DELTA], n), sym
+
+
+def test_cup_int_list_boundary_chains_match_creation_path():
+    # the boundary class with itself, with divisors, and with factors that are
+    # not operators (alone, as the starting class of the operator steps)
+    rng = random.Random(64)
+    for n in (2, 3, 4, 5):
+        others = list(hilb_base(n, 2)[:2]) + rng.sample(hilb_base(n, 4), 4)
+        chains = [[DELTA] * 2, [DELTA] * 3]
+        for _ in range(3):
+            alpha, beta = (((1,), (rng.choice(DIVISOR_LABELS),)) for _ in range(2))
+            chains += [[alpha, DELTA, beta], [DELTA, rng.choice(others)]]
+            chains += [[rng.choice(others), DELTA, alpha], [DELTA, rng.choice(others), DELTA]]
+        for factors in chains:
+            want = oracles.cup_by_creation(factors, n)
+            assert cup_int_list(factors, n) == want, factors
+            padded = [pad_class(f, n) for f in factors]
+            assert cup_int_list(padded, n, canonical=True) == want, factors
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, pytest.param(5, marks=pytest.mark.stretch)])
+def test_fujiki_relation_with_boundary(n):
+    # int a^(2n) = (2n)! / (n! 2^n) * q(a)^n for a = sum c_i ([1],[i]) + t*delta,
+    # with q = B on H^2(K3), q(delta) = -2(n - 1) and delta orthogonal to it
+    # (Beauville, J. Differential Geom. 18, 1983); the power is taken by the
+    # divisor and boundary rules alone
+    from k3hilb.k3 import bil
+    from k3hilb.qin_wang import _mult_boundary, _mult_divisor
+
+    rng = random.Random(80 + n)
+    for _ in range(2):
+        a = {i: rng.choice((-2, -1, 1, 2)) for i in rng.sample(range(1, 23), 2)}
+        t = rng.choice((-1, 1, 2))
+        vec = {pad_class(((1,), (i,)), n): x for i, x in a.items()}
+        vec[pad_class(DELTA, n)] = t
+        for _ in range(2 * n - 1):
+            out = {}
+            for sym, v in vec.items():
+                terms = [(x, _mult_divisor(i, sym)) for i, x in a.items()]
+                for y, product in terms + [(t, _mult_boundary(sym))]:
+                    for s, w in product.items():
+                        out[s] = out.get(s, 0) + v * y * w
+            vec = {s: v for s, v in out.items() if v}
+        q = sum(x * y * bil(i, j) for i, x in a.items() for j, y in a.items()) - 2 * (n - 1) * t * t
+        assert oracles.integrate(n, vec) == factorial(2 * n) // (factorial(n) * 2**n) * q**n, (a, t)
