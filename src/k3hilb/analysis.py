@@ -7,14 +7,15 @@ and lattice invariants come out of :mod:`k3hilb.zlinalg`.
 """
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations_with_replacement, groupby, product
 from math import factorial, gcd, prod
 from operator import itemgetter
 from typing import NamedTuple
 
 from . import k3, zlinalg
-from .hilb_basis import canonical_class, hilb_base, pad_class
+from .hilb_basis import betti, canonical_class, hilb_base, pad_class
+from .partitions import part_of_weight
 from .qin_wang import _int_to_crea_items, cup_int_list
 
 __all__ = [
@@ -146,29 +147,36 @@ def creation_pairing(sym):
     return {(sym[0], beta): v for beta, v in row.items()}
 
 
+def _creation_rows(basis):
+    """The creation pairing on `basis`, which must hold every partner of its
+    symbols, as symmetric sparse rows {j: value} over its indices."""
+    index = {sym: i for i, sym in enumerate(basis)}
+    return [{index[q]: v for q, v in creation_pairing(p).items()} for p in basis]
+
+
 def creation_gram(n):
     """The middle pairing in the creation basis, as symmetric sparse rows.
 
     Row and column indices follow `hilb_base(n, 2n)`; row i is {j: value}
     over the nonzero entries.
     """
-    basis = hilb_base(n, 2 * n)
-    index = {sym: i for i, sym in enumerate(basis)}
-    return [{index[q]: v for q, v in creation_pairing(p).items()} for p in basis]
+    return _creation_rows(hilb_base(n, 2 * n))
 
 
-def _integral_gram(gc, n):
+def _integral_gram(gc, basis):
     """G_int = C^T G_crea C as symmetric sparse rows, C the creation coefficients
     of the integral basis.
 
-    Each column of C comes as integers over one denominator, so every sum is
-    taken in integers; an entry that does not divide back is not integral.
+    `gc` is the creation pairing on `basis` as sparse rows; every creation
+    symbol of a basis element must lie in `basis`, as it does for
+    `hilb_base(n, 2n)`.  Each column of C comes as integers over one
+    denominator, so every sum is taken in integers; an entry that does not
+    divide back is not integral.
     """
-    basis = hilb_base(n, 2 * n)
     index = {sym: i for i, sym in enumerate(basis)}
     cols, scale = [], []
     for a in basis:
-        d, items = _int_to_crea_items(a)  # a basis symbol at n is its own padding
+        d, items = _int_to_crea_items(a)  # a basis symbol is its own padding
         cols.append([(index[p], c) for p, c in items])
         scale.append(d)
     crows = [[] for _ in basis]
@@ -205,7 +213,7 @@ def middle_gram_matrix(n):
     Built as C^T G_crea C from the creation-basis pairing, so no integral
     product is ever taken.
     """
-    rows = _integral_gram(creation_gram(n), n)
+    rows = _integral_gram(creation_gram(n), hilb_base(n, 2 * n))
     return [[row.get(j, 0) for j in range(len(rows))] for row in rows]
 
 
@@ -217,22 +225,74 @@ class LatticeReport(NamedTuple):
     unimodular: bool | None = None
 
 
+# H^2(K3) = U^3 + (-E8)^2 in k3's layout: the labels of the first hyperbolic
+# plane and of the first E8 block; the other summands are copies of these
+_HYPERBOLIC, _E8 = (1, 2), tuple(range(7, 15))
+_H2_SUMMANDS = (_HYPERBOLIC,) * 3 + (_E8,) * 2
+
+
+@cache
+def _summand_invariants(labels, w):
+    """(signature, odd, |det|) of M_w, the integral Gram on the weight-w
+    symbols of `hilb_base(w, 2w)` all of whose labels lie in `labels`.
+
+    Those symbols pair only among themselves, so M_w is a union of connected
+    blocks of the weight-w middle Gram.
+    """
+    basis = [s for s in hilb_base(w, 2 * w) if set(s[1]) <= set(labels)]
+    g = _integral_gram(_creation_rows(basis), basis)
+    sig, det = zlinalg.form_invariants(g)
+    return sig, any(row.get(i, 0) % 2 for i, row in enumerate(g)), abs(det)
+
+
+def _tensor_sums(a, b):
+    """(signature, odd) of sum_(u+v=w) A_u (x) B_v for every w, from those of
+    A_u and B_v: the signature multiplies over (x) and adds over the sum, and a
+    tensor product has an odd diagonal entry iff every factor has one."""
+    return [
+        (
+            sum(a[u][0] * b[w - u][0] for u in range(w + 1)),
+            any(a[u][1] and b[w - u][1] for u in range(w + 1)),
+        )
+        for w in range(len(a))
+    ]
+
+
 def middle_lattice(n, check_unimodular=False):
     """Rank, parity, signature and unimodularity of the middle lattice of Hilb^n.
 
-    The rank is the size of the degree-2n basis and the parity is read from
-    the diagonal of the integral Gram matrix; its signature and determinant
-    come from one exact elimination per connected block.  A square integer
-    matrix has all Smith invariant factors 1 exactly when |det| = 1.
+    The lattice is read off its orthogonal summands; the full Gram matrix
+    (`middle_gram_matrix`) is never built.  A padded symbol of degree 2n is
+    (U, P, H): unit parts U, point parts P with l(U) = l(P), and H^2-labelled
+    parts H of weight n - |U| - |P|.  Nakajima's pairing (Ann. Math. 145,
+    1997) matches a part only with an equal part whose label pairs with its
+    own, and the integral basis is a product of per-label functions, so
+    (U, P, H) pairs only with (P, U, H'), to eps(U) eps(P) <H, H'>, eps(mu) =
+    (-1)^(|mu| - l(mu)).  A block with U = P is F_(n - 2|U|), the pairing on
+    the H parts; the blocks with U != P come in hyperbolic pairs, of
+    signature 0, zero diagonal and |det| = |det F|^2.  In turn F_w is the sum
+    over w_1 + ... + w_5 = w of the tensor products of the M_(w_i) of the
+    summands U, U, U, -E8, -E8 of H^2(K3) (`_summand_invariants`).  So the
+    signature is sum_j p(j) sigma(F_(n - 2j)), the lattice is odd iff some
+    F_(n - 2j) is, and unimodular iff every M_w, w <= n, is; the rank is
+    `betti(n, 2n)`.
     """
-    g = _integral_gram(creation_gram(n), n)
-    sig, det = zlinalg.form_invariants(g)
+    forms = [[_summand_invariants(labels, w)[:2] for w in range(n + 1)] for labels in _H2_SUMMANDS]
+    f = reduce(_tensor_sums, forms)
+    blocks = [(len(part_of_weight(j)), f[n - 2 * j]) for j in range(n // 2 + 1)]
+    unimodular = None
+    if check_unimodular:
+        unimodular = all(
+            _summand_invariants(labels, w)[2] == 1
+            for labels in (_HYPERBOLIC, _E8)
+            for w in range(n + 1)
+        )
     return LatticeReport(
         n=n,
-        rank=len(g),
-        parity="odd" if any(row.get(i, 0) % 2 for i, row in enumerate(g)) else "even",
-        signature=sig,
-        unimodular=abs(det) == 1 if check_unimodular else None,
+        rank=betti(n, 2 * n),
+        parity="odd" if any(odd for _, (_, odd) in blocks) else "even",
+        signature=sum(count * sig for count, (sig, _) in blocks),
+        unimodular=unimodular,
     )
 
 

@@ -113,6 +113,13 @@ def cup_list(factors):
 
 
 @cache
+def cup_items(i, j):
+    """cup_list([i, j]) as items, cached for the product rules, which read
+    it once per label they meet."""
+    return tuple(cup_list([i, j]).items())
+
+
+@cache
 def _coprod2(k):
     """Sparse coefficients of the comultiplication of basis class k.
 

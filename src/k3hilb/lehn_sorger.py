@@ -372,7 +372,7 @@ def _mult_placed(a, b, n):
         for i, ((p, l, _), c) in enumerate(groups):
             for j in range(1, p // 2 + 1):  # cuts
                 w = z * c * (p // 2 if 2 * j == p else p)
-                for r, u in k3.cup_list([beta, l]).items():
+                for r, u in k3.cup_items(beta, l):
                     for (l1, l2), x in k3._coprod_items(2, r):
                         new = [(j, l1, j - 1), (p - j, l2, p - j - 1)]
                         move(start, [(p, l, p)], new, w * u * x, states)
@@ -389,7 +389,7 @@ def _mult_placed(a, b, n):
             for (p, l, f), run in groupby(state):
                 if f:
                     c = len(list(run))
-                    for r, w in k3.cup_list([alpha, l]).items():
+                    for r, w in k3.cup_items(alpha, l):
                         move(state, [(p, l, f)], [(p, r, f - 1)], v * c * f * w, nxt)
         states = nxt
     acc = {}

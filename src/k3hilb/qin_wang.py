@@ -208,11 +208,6 @@ def _additions(kind, parts, k):
     return tuple(out)
 
 
-@cache
-def _cup_items(l, m):
-    return tuple(k3.cup_list([l, m]).items())
-
-
 def _groups(sym):
     groups = {}
     for p, l in zip(*sym):
@@ -238,7 +233,7 @@ def _mult_divisor(alpha, sym):
     groups = _groups(sym)
     out = {}
     for l, parts in groups.items():
-        for r, u in _cup_items(alpha, l):
+        for r, u in k3.cup_items(alpha, l):
             for k, rest, c in _removals(_kind(l), parts):
                 for new, x in _additions(_kind(r), rest if r == l else groups.get(r, ()), k):
                     t = _symbol({**groups, l: rest, r: new})
@@ -269,7 +264,7 @@ def _mult_boundary(sym):
                             t = _symbol({**cut, l1: p1, l2: p2})
                             out[t] = out.get(t, 0) + c * x * x1 * x2
             for m, parts_m in cut.items():
-                cups = _cup_items(l, m)
+                cups = k3.cup_items(l, m)
                 for k2, rest2, c2 in _removals(_kind(m), parts_m) if cups else ():
                     for r, u in cups:
                         for new, x in _additions(_kind(r), rest2 if r == m else cut.get(r, ()), k + k2):

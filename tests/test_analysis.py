@@ -169,8 +169,76 @@ def _goettsche_soergel_signatures(nmax):
 def test_middle_lattice_signature_is_goettsche_soergel():
     series = _goettsche_soergel_signatures(4)
     assert series == [1, -16, 156, -1152, 7082]
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         assert middle_lattice(n).signature == series[n]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_middle_lattice_equals_full_gram_path(n):
+    # the orthogonal summands against one elimination of the whole G_int
+    g = analysis._integral_gram(analysis.creation_gram(n), hilb_base(n, 2 * n))
+    sig, det = zlinalg.form_invariants(g)
+    parity = "odd" if any(row.get(i, 0) % 2 for i, row in enumerate(g)) else "even"
+    assert middle_lattice(n, check_unimodular=True) == (n, len(g), parity, sig, abs(det) == 1)
+
+
+def _u_p_h(sym):
+    """A symbol's unit parts, point parts and H^2-labelled pairs."""
+    pairs = list(zip(*sym))
+    parts = [tuple(p for p, l in pairs if l == label) for label in (k3.UNIT, k3.POINT)]
+    rest = [(p, l) for p, l in pairs if l not in (k3.UNIT, k3.POINT)]
+    return (*parts, (tuple(p for p, _ in rest), tuple(l for _, l in rest)))
+
+
+def test_middle_gram_pairs_u_p_h_only_with_p_u_h_hilb3():
+    # (U, P, H) pairs only with (P, U, H'), to eps(U) eps(P) <H, H'>
+    def eps(mu):
+        return (-1) ** (sum(mu) - len(mu))
+
+    basis = hilb_base(3, 6)
+    g = analysis._integral_gram(analysis.creation_gram(3), basis)
+    f = {}
+    for w in range(4):
+        sub = [s for s in hilb_base(w, 2 * w) if k3.UNIT not in s[1] and k3.POINT not in s[1]]
+        rows = analysis._integral_gram(analysis._creation_rows(sub), sub)
+        f.update({(sub[i], sub[j]): v for i, row in enumerate(rows) for j, v in row.items()})
+    by_u_p = {}
+    for u, p, h in map(_u_p_h, basis):
+        by_u_p.setdefault((u, p), []).append(h)
+    for a, row in enumerate(g):
+        u, p, h = _u_p_h(basis[a])
+        assert len(u) == len(p)
+        assert len(row) == sum((h, h2) in f for h2 in by_u_p.get((p, u), ())), basis[a]
+        for b, v in row.items():
+            u2, p2, h2 = _u_p_h(basis[b])
+            assert (u2, p2) == (p, u), (basis[a], basis[b])
+            assert v == eps(u) * eps(p) * f[h, h2], (basis[a], basis[b])
+
+
+@pytest.mark.parametrize("w", range(5))
+def test_summand_forms_unimodular_and_e8_definite(w):
+    def rank(labels):
+        return sum(set(s[1]) <= set(labels) for s in hilb_base(w, 2 * w))
+
+    assert analysis._summand_invariants(analysis._HYPERBOLIC, w)[2] == 1
+    sig, _, det = analysis._summand_invariants(analysis._E8, w)
+    assert det == 1
+    # -E8 is negative definite and a part of size k carries the sign (-1)^(k-1)
+    assert sig == (-1) ** w * rank(analysis._E8)
+
+
+@pytest.mark.parametrize("labels", [analysis._HYPERBOLIC, analysis._E8])
+def test_middle_lattice_reads_every_summand_determinant(labels, monkeypatch):
+    real = analysis._summand_invariants
+
+    def doubled(summand, w):
+        sig, odd, det = real(summand, w)
+        return sig, odd, 2 * det if (summand, w) == (labels, 2) else det
+
+    monkeypatch.setattr(analysis, "_summand_invariants", doubled)
+    assert middle_lattice(1, check_unimodular=True).unimodular is True
+    assert middle_lattice(2, check_unimodular=True).unimodular is False
+    assert middle_lattice(2).unimodular is None
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -201,7 +269,7 @@ def test_middle_gram_rejects_non_integral_pairing():
     k = hilb_base(2, 4).index(c((2,), (1,)))
     gc[k][k] = gc[k].get(k, 0) + 1
     with pytest.raises(ArithmeticError):
-        analysis._integral_gram(gc, 2)
+        analysis._integral_gram(gc, hilb_base(2, 4))
 
 
 def _on_nakajima_support(p, q):

@@ -240,9 +240,9 @@ def test_lattice_hilb3_unimodular():
     }
 
 
-@pytest.mark.stretch
 def test_lattice_hilb4_unimodular_stretch():
-    # within the default size limit since the block elimination: ~25 s cold
+    # in the default tier since the lattice is read off its orthogonal
+    # summands: ~1 s cold (~25 s on the whole Gram matrix)
     assert invoke("lattice", "--n", "4", "--unimodular") == (
         0,
         "rank 19298, odd, signature 7082, unimodular\n",
