@@ -1,9 +1,8 @@
 """Cup-product multiplication maps and their cokernels, the integral pairing
 on the middle cohomology, and the named quotient generators.
 
-Matrices are assembled column by column from exact cup products; columns are
-independent, so assembly optionally fans out over a process pool.  Cokernels
-and lattice invariants come out of :mod:`k3hilb.zlinalg`.
+Matrices are assembled column by column from exact cup products, in one
+process.  Cokernels and lattice invariants come out of :mod:`k3hilb.zlinalg`.
 """
 
 from fractions import Fraction
@@ -38,24 +37,9 @@ __all__ = [
 MAP_KINDS = ("sym2", "sym3", "h2xh4")
 
 
-def _pool_map(fn, args, jobs):
-    if jobs and jobs > 1:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs) as pool:
-            return pool.map(fn, args, chunksize=max(1, len(args) // (8 * jobs)))
-    return [fn(a) for a in args]
-
-
-def _product_column(task):
-    factors, n = task
-    return cup_int_list(list(factors), n, canonical=True)
-
-
-def _columns(domain, n, jobs):
+def _columns(domain, n):
     """The products of the factor tuples of `domain` at n, as sparse columns."""
-    return _pool_map(_product_column, [(f, n) for f in domain], jobs)
+    return [cup_int_list(list(factors), n, canonical=True) for factors in domain]
 
 
 def _assemble(rows, sparse_columns):
@@ -80,23 +64,23 @@ def _distinct_rows(rows, sparse_columns):
     return out
 
 
-def sym_power_matrix(n, kpow, jobs=1):
+def sym_power_matrix(n, kpow):
     """Matrix of the k-th power map from degree-2 classes into degree 2k.
 
     Columns are indexed by multisets of size k over the 23 degree-2 basis
     classes, rows by the degree-2k basis of Hilb^n.
     """
     domain = combinations_with_replacement(hilb_base(n, 2), kpow)
-    return _assemble(hilb_base(n, 2 * kpow), _columns(domain, n, jobs))
+    return _assemble(hilb_base(n, 2 * kpow), _columns(domain, n))
 
 
-def mixed_matrix(n, jobs=1):
+def mixed_matrix(n):
     """Matrix of the pairing of degree-2 with degree-4 classes into degree 6.
 
     The domain is the full tensor product: columns run over ordered pairs.
     """
     domain = product(hilb_base(n, 2), hilb_base(n, 4))
-    return _assemble(hilb_base(n, 6), _columns(domain, n, jobs))
+    return _assemble(hilb_base(n, 6), _columns(domain, n))
 
 
 def top_class(n):
@@ -488,7 +472,7 @@ def _known_generators(kind, n):
     return []
 
 
-def cokernel_report(n, kind, check_generators=False, jobs=1):
+def cokernel_report(n, kind, check_generators=False):
     """Cokernel structure of one of the three multiplication maps.
 
     kind 'sym2'/'sym3': square/cube map out of the degree-2 classes;
@@ -503,7 +487,7 @@ def cokernel_report(n, kind, check_generators=False, jobs=1):
         degree = 6
     else:
         raise ValueError(f"unknown map kind {kind!r}; expected one of {MAP_KINDS}")
-    rows = _distinct_rows(hilb_base(n, degree), _columns(domain, n, jobs))
+    rows = _distinct_rows(hilb_base(n, degree), _columns(domain, n))
     generators = _known_generators(kind, n) if check_generators else []
     if generators:
         # one Smith reduction with transforms serves the cokernel and every

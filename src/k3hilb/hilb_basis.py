@@ -13,9 +13,10 @@ symbols carry no (1, unit) padding pairs.
 
 from functools import cache
 from itertools import combinations_with_replacement, groupby, product
+from math import prod
 
 from . import k3
-from .partitions import format_partition, part_of_weight
+from .partitions import format_partition, part_of_weight, part_z
 
 _H2_DOWN = k3.H2_INDICES[::-1]
 
@@ -24,6 +25,7 @@ __all__ = [
     "an_weight",
     "deg",
     "an_z",
+    "label_groups",
     "pad_class",
     "reduce_class",
     "an_sort_key",
@@ -59,28 +61,19 @@ def deg(sym):
     return 2 * (sum(parts) - len(parts)) + sum(k3.deg(l) for l in labels)
 
 
-def an_z(sym):
-    """Order of the stabilizer of a labeled cycle type under conjugation.
+def label_groups(sym):
+    """The parts of sym per label, as {label: parts}; on a canonical symbol
+    each label's parts come out descending."""
+    groups = {}
+    for p, l in zip(*sym):
+        groups[l] = groups.get(l, ()) + (p,)
+    return groups
 
-    The labeled analogue of z: the product over groups of identical
-    (part, label) pairs of part^count * count!.
-    """
-    parts, labels = sym
-    z = 1
-    run = 0
-    prev = None
-    for pair in zip(parts, labels):
-        if pair == prev:
-            run += 1
-        else:
-            for c in range(2, run + 1):
-                z *= c
-            run = 1
-            prev = pair
-        z *= pair[0]
-    for c in range(2, run + 1):
-        z *= c
-    return z
+
+def an_z(sym):
+    """Order of the stabilizer of a labeled cycle type under conjugation: the
+    product of the centralizer orders z of the canonical symbol's label groups."""
+    return prod(map(part_z, label_groups(sym).values()))
 
 
 def pad_class(sym, n):

@@ -119,7 +119,6 @@ def cup_items(i, j):
     return tuple(cup_list([i, j]).items())
 
 
-@cache
 def _coprod2(k):
     """Sparse coefficients of the comultiplication of basis class k.
 

@@ -1,35 +1,22 @@
 """Integer partitions, and the cycles of a permutation.
 
 Partitions are stored in lambda-notation as tuples of weakly decreasing
-positive integers; the empty partition is ().  Alpha-notation (the tuple of
-multiplicities m_1, m_2, ...) is derived on demand.  Permutations on
+positive integers; the empty partition is ().  Permutations on
 {0, ..., n-1} are tuples of images.
 """
 
 from functools import cache
-from math import factorial
+from itertools import groupby
+from math import factorial, prod
 
 
 # ---------------------------------------------------------------------------
 # partitions
 
 
-def as_alpha(p):
-    """Multiplicity view (m_1, ..., m_max) of a partition in lambda-notation."""
-    if not p:
-        return ()
-    mult = [0] * p[0]
-    for part in p:
-        mult[part - 1] += 1
-    return tuple(mult)
-
-
 def part_z(p):
     """The centralizer order z = prod_i i^(m_i) * m_i! of a cycle type."""
-    z = 1
-    for i, m in enumerate(as_alpha(p), start=1):
-        z *= i**m * factorial(m)
-    return z
+    return prod(p) * prod(factorial(len(list(run))) for _, run in groupby(p))
 
 
 def part_key(p):

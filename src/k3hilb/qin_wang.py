@@ -27,6 +27,7 @@ from .hilb_basis import (
     an_sort_key,
     canonical_class,
     deg,
+    label_groups,
     pad_class,
     reduce_class,
 )
@@ -50,17 +51,6 @@ class NonIntegralError(ArithmeticError):
     """A coefficient that must be an integer came out fractional."""
 
 
-def _label_subparts(sym):
-    """Split a symbol into its per-label subpartitions, labels ascending."""
-    buckets = {}
-    for p, l in zip(*sym):
-        buckets.setdefault(l, []).append(p)
-    return [
-        (label, tuple(sorted(parts, reverse=True)))
-        for label, parts in sorted(buckets.items())
-    ]
-
-
 def _tensor(factor_lists):
     """Combine per-label expansions into full symbols with multiplied weights;
     the labels differ, so every combination is its own symbol."""
@@ -72,12 +62,12 @@ def _tensor(factor_lists):
     return tuple(sorted(out))
 
 
-@cache
 def _int_to_crea_items(sym):
-    """(den, items): the creation coefficients of sym as integers over den, the
-    unit parts' z times, per H^2 label, the denominator of its psi^-1 row."""
+    """(den, items): the creation coefficients of the padded canonical symbol
+    sym as integers over den, the unit parts' z times, per H^2 label, the
+    denominator of its psi^-1 row."""
     den, factors = 1, []
-    for label, parts in _label_subparts(sym):
+    for label, parts in label_groups(sym).items():
         if label == 0:
             den *= part_z(parts)
         if label in (0, 23):
@@ -95,10 +85,9 @@ def _int_to_crea_items(sym):
     return den, _tensor(factors)
 
 
-@cache
 def _crea_to_int_items(sym):
     factors = []
-    for label, parts in _label_subparts(sym):
+    for label, parts in label_groups(sym).items():
         if label in (0, 23):
             opts = [(parts, part_z(parts) if label == 0 else 1)]
         else:
@@ -208,13 +197,6 @@ def _additions(kind, parts, k):
     return tuple(out)
 
 
-def _groups(sym):
-    groups = {}
-    for p, l in zip(*sym):
-        groups[l] = groups.get(l, ()) + (p,)
-    return groups
-
-
 def _symbol(state):
     """The canonical symbol of a state."""
     pairs = [(p, l) for l, parts in state.items() for p in parts]
@@ -230,7 +212,7 @@ def _mult_divisor(alpha, sym):
     alpha, the parts of an H^2 label b to the point with B(alpha, b), and
     point parts stay.
     """
-    groups = _groups(sym)
+    groups = label_groups(sym)
     out = {}
     for l, parts in groups.items():
         for r, u in k3.cup_items(alpha, l):
@@ -251,7 +233,7 @@ def _mult_boundary(sym):
     0 < j < k and each term l1 (x) l2 of the coproduct of l, and the joins,
     R_k on l, then R_k' on m, then p_(k+k') on l.m.  The halving is exact.
     """
-    groups = _groups(sym)
+    groups = label_groups(sym)
     out = {}
     for l, parts in groups.items():
         for k, rest, c in _removals(_kind(l), parts):

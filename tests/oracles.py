@@ -938,17 +938,6 @@ def as_partition(parts):
     return p
 
 
-def from_alpha(alpha):
-    """Inverse of `partitions.as_alpha`."""
-    parts = []
-    for i, m in enumerate(alpha, start=1):
-        if m < 0:
-            raise ValueError("multiplicities must be nonnegative")
-        parts.extend([i] * m)
-    parts.reverse()
-    return tuple(parts)
-
-
 def part_conj(p):
     """Conjugate (transposed Young diagram) partition; an involution."""
     if not p:

@@ -43,10 +43,6 @@ def test_sym_power_matrix_shapes():
     assert len(m23) == 23 and len(m23[0]) == 2300
 
 
-def test_sym_power_matrix_parallel_matches_serial():
-    assert sym_power_matrix(2, 2, jobs=2) == sym_power_matrix(2, 2)
-
-
 def test_verbitsky_full_column_rank():
     for n, k in ((2, 2), (3, 2), (4, 2)):
         assert oracles.has_full_column_rank(sym_power_matrix(n, k))
@@ -353,7 +349,7 @@ def _assert_columns_match_s_n_kernel(n, kind, monkeypatch):
         domain = list(product(hilb_base(n, 2), hilb_base(n, 4)))
     else:
         domain = list(combinations_with_replacement(hilb_base(n, 2), 2 if kind == "sym2" else 3))
-    closed = analysis._columns(domain, n, 1)
+    closed = analysis._columns(domain, n)
     calls = []
 
     def kernel(a, b, n, *, canonical=False):

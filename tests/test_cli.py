@@ -250,7 +250,7 @@ def test_lattice_hilb4_unimodular_stretch():
 
 
 def test_lattice_jobs_output_matches_serial():
-    # only cokernel fans out over a pool; lattice accepts --jobs and ignores it
+    # every command accepts --jobs in 1..CPU count and ignores it
     commands = (
         ("lattice", "--n", "2", "--unimodular"),
         ("cokernel", "--n", "2", "--map", "sym2"),
@@ -411,7 +411,8 @@ def test_cold_commands_import_neither_numpy_nor_multiprocessing():
         "import io, sys\n"
         "from k3hilb.cli import run\n"
         "for argv in (['cokernel', '--n', '3', '--map', 'sym2', '--check-generators'],\n"
-        "             ['lattice', '--n', '2', '--unimodular']):\n"
+        "             ['lattice', '--n', '2', '--unimodular'],\n"
+        "             ['--jobs', '2', 'cokernel', '--n', '2', '--map', 'sym2']):\n"
         "    assert run(argv, out=io.StringIO()) == 0, argv\n"
         "print(sorted(m for m in ('numpy', 'multiprocessing', 'dataclasses') if m in sys.modules))\n"
     )

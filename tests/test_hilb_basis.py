@@ -1,4 +1,5 @@
 import time
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,10 +13,12 @@ from k3hilb.hilb_basis import (
     deg,
     format_class,
     hilb_base,
+    label_groups,
     pad_class,
     parse_class,
     reduce_class,
 )
+from k3hilb import lehn_sorger
 import oracles
 from oracles import check_reduced_weight_bounds, hilb_operators
 
@@ -165,6 +168,23 @@ def test_an_z():
     assert an_z(canonical_class((2, 1), (0, 0))) == 2
     assert an_z(canonical_class((1, 1), (1, 2))) == 1
     assert an_z(canonical_class((2, 2, 1, 1, 1), (0, 0, 0, 0, 0))) == 48
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_an_z_is_stabilizer_order_and_label_groups_descend(n):
+    # orbit-stabilizer: the distinct S_n conjugates of a symbol's model term
+    # times its stabilizer order make up all of S_n
+    try:
+        for d in range(0, 2 * n + 1, 2):
+            for sym in hilb_base(n, d):
+                assert an_z(sym) * len(lehn_sorger.to_sn(sym, n)[0]) == factorial(n), sym
+                groups = label_groups(sym)
+                assert sorted(groups) == sorted(set(sym[1]))
+                for parts in groups.values():
+                    assert list(parts) == sorted(parts, reverse=True), sym
+                assert sorted(p for parts in groups.values() for p in parts) == sorted(sym[0])
+    finally:
+        lehn_sorger._symmetrized_shape.cache_clear()  # ~25,000 conjugate lists
 
 
 def test_canonical_class_sorting_and_validation():

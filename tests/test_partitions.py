@@ -3,13 +3,12 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from k3hilb.partitions import as_alpha, cycles_of, format_partition, part_of_weight, part_z
+from k3hilb.partitions import cycles_of, format_partition, part_of_weight, part_z
 import oracles
 from oracles import (
     as_partition,
     compose,
     cycle_type,
-    from_alpha,
     identity_perm,
     parse_partition,
     part_conj,
@@ -74,17 +73,10 @@ def test_part_conj():
             assert part_conj(part_conj(p)) == p
 
 
-def test_alpha_round_trip():
-    for w in range(11):
-        for p in part_of_weight(w):
-            assert from_alpha(as_alpha(p)) == p
-
-
 @given(st.lists(st.integers(min_value=1, max_value=9), max_size=8))
 def test_as_partition_sorts_and_round_trips(parts):
     p = as_partition(parts)
     assert list(p) == sorted(parts, reverse=True)
-    assert from_alpha(as_alpha(p)) == p
 
 
 def test_permutation_basics():
