@@ -14,11 +14,11 @@ orbit's labels before any pi*tau-cycle is walked.  mult_sn checks its terms.
 
 Symbols (parts, labels) embed by symmetrization: a symbol maps to the sum of
 all conjugates of its model term.  to_sn returns the distinct conjugates and
-the integer multiplicity with which each occurs, cached per padded symbol;
-mult_an combines both to multiply symbols, staying in exact integers.  It
-multiplies at the ambient min(n, s(a) + s(b)), s the weight without the
-(1, unit) padding, rescales to n, and reads off classes directly, never
-forming canonical terms.  Symbol products are not cached.
+the integer multiplicity with which each occurs; mult_an combines both to
+multiply symbols, staying in exact integers.  It multiplies at the ambient
+min(n, s(a) + s(b)), s the weight without the (1, unit) padding, rescales to
+n, and reads off classes directly, never forming canonical terms.  Neither
+the conjugates nor symbol products are cached: no workload repeats them.
 
 A factor of cycle type (1^k) or (2, 1^k) needs no conjugates, orbits or
 Euler class (Lehn and Sorger, Duke Math. J. 110, 2001).  Its model term
@@ -223,7 +223,6 @@ def _distinct_cycles(support):
     return [(head,) + p for p in permutations(rest)]
 
 
-@cache
 def _symmetrized_shape(parts, labels):
     """Distinct conjugates of the model term of (parts, labels), plus multiplicity.
 

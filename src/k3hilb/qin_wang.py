@@ -10,14 +10,16 @@ direction uses z and the forward base change, and always lands in integers.
 Every degree-2 class acts on the integral symbols themselves, in integers,
 through Lehn's operators read as moves of parts between labels: a divisor
 class ([1],[alpha]), alpha in H^2, as a derivation (_mult_divisor), and the
-boundary class ([2],[0]) as a cut-and-join (_mult_boundary).  The other
-factors of a product go to creation symbols, are multiplied in the
-symmetric-group model and come back once, as integers over one denominator.
+boundary class ([2],[0]) as a cut-and-join (_mult_boundary).  So does every
+class of cycle type (1^n) whose H^2 labels are pairwise distinct, as a
+polynomial in the derivations (_mult_identity).  The other factors of a
+product go to creation symbols, are multiplied in the symmetric-group model
+and come back once, as integers over one denominator.
 """
 
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import product
 from math import factorial, gcd, prod
 from typing import NamedTuple
@@ -205,12 +207,12 @@ def _symbol(state):
 
 
 def _mult_divisor(alpha, sym):
-    """The padded canonical symbol sym times ([1],[alpha]), alpha in H^2, as
-    {padded symbol: int}: the derivation q_k(b) -> k*q_k(alpha.b) (Lehn,
-    Invent. Math. 136, 1999), that is R_k = k*d/dp_k on each label b
+    """The padded canonical symbol sym times ([1],[alpha]), alpha in H^2 or the
+    point, as {padded symbol: int}: the derivation q_k(b) -> k*q_k(alpha.b)
+    (Lehn, Invent. Math. 136, 1999), that is R_k = k*d/dp_k on each label b
     (_removals) followed by p_k on alpha.b (_additions).  A unit part moves to
     alpha, the parts of an H^2 label b to the point with B(alpha, b), and
-    point parts stay.
+    point parts stay; for alpha the point only the unit parts move.
     """
     groups = label_groups(sym)
     out = {}
@@ -258,22 +260,81 @@ def _mult_boundary(sym):
     return {t: v // 2 for t, v in out.items() if v}
 
 
+def _apply(op, vec):
+    """The operator op, {symbol: int} -> {symbol: int}, on the vector vec."""
+    out = {}
+    for s, v in vec.items():
+        for t, c in op(s).items():
+            out[t] = out.get(t, 0) + v * c
+    return {t: v for t, v in out.items() if v}
+
+
+def _mult_identity(labels, sym):
+    """The padded canonical symbol sym times the padded class of cycle type
+    (1^n) with labels `labels`, its H^2 labels pairwise distinct, as
+    {padded symbol: int}.
+
+    In Lehn and Sorger's model (Invent. Math. 152, 2003) the class is the sum
+    over the injective placements of its non-unit labels g_1..g_j into the n
+    points, all in the identity sector.  The product D_g1...D_gj of the
+    derivations D_g = _mult_divisor(g, .) sums over all placements: labels on
+    one point cup together, and on K3 only a pair of H^2 labels survives,
+    as B(g, h) times the point.  Moebius inversion over the set partitions
+    leaves the matchings M of the H^2 labels with B != 0:
+
+        sum_M (-1)^|M| prod_{(g, h) in M} B(g, h) D_pt^|M| prod_{g unmatched} D_g
+
+    The point labels' D_pt come first, shared by every term, and each prefix
+    of derivations is applied once for all the matchings that extend it.
+    """
+    h2 = [l for l in labels if 0 < l < POINT]
+    d_pt = partial(_mult_divisor, POINT)
+    vec = {sym: 1}
+    for _ in range(labels.count(POINT)):
+        vec = _apply(d_pt, vec)
+    out = {}
+
+    def rec(vec, c, todo):
+        if not vec:
+            return
+        if not todo:
+            for t, v in vec.items():
+                out[t] = out.get(t, 0) + c * v
+            return
+        g, *todo = todo
+        rec(_apply(partial(_mult_divisor, g), vec), c, todo)
+        pairs = [(i, b) for i, h in enumerate(todo) if (b := k3.bil(g, h))]
+        if pairs:
+            matched = _apply(d_pt, vec)
+            for i, b in pairs:
+                rec(matched, -b * c, todo[:i] + todo[i + 1 :])
+
+    rec(vec, 1, h2)
+    return {t: v for t, v in out.items() if v}
+
+
 def _operator(sym):
     """The action of the padded symbol sym as a factor, or None: _mult_divisor
-    for ([1],[alpha]), alpha in H^2, and _mult_boundary for ([2],[0])."""
+    for ([1],[alpha]), alpha in H^2, _mult_boundary for ([2],[0]) and
+    _mult_identity for any other class of cycle type (1^n) whose H^2 labels
+    are pairwise distinct.  A repeated H^2 label alpha is not one: m_(1,1)
+    = (p_1^2 - p_2)/2 of ([1-1],[alpha,alpha]) has a 2-cycle term."""
     parts, labels = sym
     if parts[:1] == (1,) and 0 < labels[0] == sum(labels) < POINT:
-        return lambda s: _mult_divisor(labels[0], s)
+        return partial(_mult_divisor, labels[0])
     if parts[:1] == (2,) and sum(parts) == len(parts) + 1 and not any(labels):
         return _mult_boundary
+    if parts[:1] == (1,) and all(a != b for a, b in zip(labels, labels[1:]) if 0 < b < POINT):
+        return partial(_mult_identity, labels)
     return None
 
 
 def _cup(factors, n, canonical=False):
-    """Divisor classes and the boundary class act by _mult_divisor and
-    _mult_boundary; the other factors are multiplied as creation numerators
-    over one denominator and divided back exactly.  A product of operator
-    factors alone starts from the boundary class if it has one."""
+    """Divisor classes, the boundary class and the other classes of cycle
+    type (1^n) with distinct H^2 labels act by _operator; the other factors
+    are multiplied as creation numerators over one denominator and divided
+    back exactly.  A product of operator factors alone starts from the
+    boundary class if it has one."""
     padded = [pad_class(f if canonical else canonical_class(*f), n) for f in factors]
     if None in padded:
         return {}
@@ -292,11 +353,7 @@ def _cup(factors, n, canonical=False):
             den *= d
         acc = _to_integral(acc, den)
     for op in filter(None, ops):
-        nxt = {}
-        for s, v in acc.items():
-            for t, c in op(s).items():
-                nxt[t] = nxt.get(t, 0) + v * c
-        acc = {t: v for t, v in nxt.items() if v}
+        acc = _apply(op, acc)
     return acc
 
 
@@ -308,9 +365,11 @@ def cup_int(a, b, n):
 def cup_int_list(factors, n, *, canonical=False):
     """Cup product of a list of integral classes; equals iterated cup_int.
 
-    Divisor classes and the boundary class act on the integral symbols; the
-    others stay in the creation basis until the end.  canonical=True takes the factors as canonical
-    symbols, as `hilb_base` makes them, and does not validate them again.
+    Divisor classes, the boundary class and the classes of cycle type (1^n)
+    with distinct H^2 labels act on the integral symbols; the others stay in
+    the creation basis until the end.  canonical=True takes the factors as
+    canonical symbols, as `hilb_base` makes them, and does not validate them
+    again.
     """
     if not factors:
         raise ValueError("need at least one factor")

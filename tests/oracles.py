@@ -486,24 +486,47 @@ def sn_kernel_mult_an(a, b, n, *, canonical=False):
     return _mult_kernel(a, b, n)
 
 
+@lru_cache(maxsize=None)
+def _int_to_crea_memo(sym):
+    """`qin_wang._int_to_crea_items`, memoized here: the creation-path oracle
+    redoes the same base changes far more often than any command does."""
+    from k3hilb.qin_wang import _int_to_crea_items
+
+    return _int_to_crea_items(sym)
+
+
+@lru_cache(maxsize=None)
+def _crea_to_int_memo(sym):
+    """`qin_wang._crea_to_int_items`, memoized like `_int_to_crea_memo`."""
+    from k3hilb.qin_wang import _crea_to_int_items
+
+    return _crea_to_int_items(sym)
+
+
 def cup_by_creation(factors, n):
     """`qin_wang.cup_int_list` with every factor in the creation basis: each
     factor's integer numerators over its denominator, multiplied through
     `qin_wang.mult_an` (so a test can replace it), then divided back exactly.
-    No divisor class takes `qin_wang._mult_divisor`."""
+    No factor takes an operator on the integral symbols (`qin_wang._operator`)."""
     from k3hilb.hilb_basis import canonical_class, pad_class
-    from k3hilb.qin_wang import _crea_product, _int_to_crea_items, _to_integral
+    from k3hilb.qin_wang import NonIntegralError, _crea_product
 
     padded = [pad_class(canonical_class(*f), n) for f in factors]
     if None in padded:
         return {}
-    scaled = [_int_to_crea_items(s) for s in padded]
+    scaled = [_int_to_crea_memo(s) for s in padded]
     den, items = scaled[0]
     acc = dict(items)
     for d, items in scaled[1:]:
         acc = _crea_product(acc, items, n)
         den *= d
-    return _to_integral(acc, den)
+    out = {}
+    for e, v in acc.items():
+        for s, c in _crea_to_int_memo(e):
+            out[s] = out.get(s, 0) + v * c
+    if any(v % den for v in out.values()):
+        raise NonIntegralError(f"a coefficient of {factors} at n={n} is not divisible by {den}")
+    return {s: v // den for s, v in out.items() if v}
 
 
 # ---------------------------------------------------------------------------

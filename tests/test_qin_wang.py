@@ -518,3 +518,118 @@ def test_fujiki_relation_with_boundary(n):
             vec = {s: v for s, v in out.items() if v}
         q = sum(x * y * bil(i, j) for i, x in a.items() for j, y in a.items()) - 2 * (n - 1) * t * t
         assert oracles.integrate(n, vec) == factorial(2 * n) // (factorial(n) * 2**n) * q**n, (a, t)
+
+
+# ---------------------------------------------------------------------------
+# classes of cycle type (1^n) with distinct H^2 labels, against the creation path
+
+# hyperbolic 1-2, E8 neighbours 7-8, labels 15 and 22 orthogonal to them all
+PALETTE = {0, 23, *DIVISOR_LABELS}
+
+
+def _identity_factors(n):
+    """Every padded class of cycle type (1^n) labelled in PALETTE whose H^2
+    labels are pairwise distinct: each takes the identity-sector rule."""
+    from k3hilb.qin_wang import _operator
+
+    out = []
+    for d in range(0, 4 * n + 1, 2):
+        for sym in hilb_base(n, d):
+            if sym[0][:1] == (1,) and set(sym[1]) <= PALETTE:
+                h2 = [l for l in sym[1] if 0 < l < 23]
+                if len(set(h2)) == len(h2):
+                    assert _operator(sym) is not None, sym
+                    out.append(sym)
+    return out
+
+
+def _assert_identity_rule_matches_creation_path(n, classes):
+    from k3hilb.qin_wang import _operator
+
+    for f in _identity_factors(n):
+        act = _operator(f)
+        for sym in classes:
+            assert act(sym) == oracles.cup_by_creation([f, sym], n), (f, sym)
+
+
+@pytest.mark.parametrize("n", (1, 2))
+def test_identity_rule_matches_creation_path_on_bases(n):
+    # every factor labelled in PALETTE times every basis class of every degree
+    classes = [s for d in range(0, 4 * n + 1, 2) for s in hilb_base(n, d)]
+    _assert_identity_rule_matches_creation_path(n, classes)
+
+
+def test_identity_rule_matches_creation_path_on_palette_hilb3():
+    # at n = 3 the classes labelled in PALETTE (192 of 3,200), against 72 factors
+    classes = [s for d in range(13) for s in hilb_base(3, d) if set(s[1]) <= PALETTE]
+    _assert_identity_rule_matches_creation_path(3, classes)
+
+
+@pytest.mark.stretch
+def test_identity_rule_matches_creation_path_hilb3_stretch():
+    classes = [s for d in range(13) for s in hilb_base(3, d)]
+    _assert_identity_rule_matches_creation_path(3, classes)
+
+
+def test_identity_rule_matches_creation_path_random():
+    # factors with point labels and H^2 labels that pair (B != 0) with each
+    # other and with the other class's labels, at n = 4..6
+    from k3hilb.k3 import bil
+    from k3hilb.qin_wang import _operator
+
+    rng = random.Random(65)
+    paired = pointed = 0
+    for _ in range(300):
+        n = rng.randint(4, 6)
+        h2 = rng.sample((1, 2, 3, 7, 8, 9, 12, 14, 15, 16), rng.randint(1, min(4, n)))
+        points = rng.randint(0, n - len(h2))
+        f = pad_class(c((1,) * (len(h2) + points), h2 + [23] * points), n)
+        paired += any(bil(g, h) for g in h2 for h in h2 if g != h)
+        pointed += points > 0
+        parts, left = [], rng.randint(1, n)
+        while left:
+            parts.append(rng.randint(1, left))
+            left -= parts[-1]
+        labels = [rng.choice((0, 23, *h2, min(22, max(1, rng.choice(h2) + 1)))) for _ in parts]
+        sym = pad_class(c(parts, labels), n)
+        assert _operator(f)(sym) == oracles.cup_by_creation([f, sym], n), (f, sym)
+    assert paired > 60 and pointed > 100
+
+
+def test_cup_int_list_identity_chains_match_creation_path():
+    # identity-sector factors with each other (a product of operators alone),
+    # with the boundary class and with factors that are not operators
+    rng = random.Random(66)
+    for n in (3, 4, 5):
+        ids = [((1, 1), (1, 2)), ((1, 1, 1), (23, 8, 7)), ((1, 1), (23, 23)), ((1, 1, 1), (22, 2, 1))]
+        others = [DELTA, c((1, 1), (7, 7))] + rng.sample(hilb_base(n, 4), 3)
+        for _ in range(6):
+            a, b = rng.sample(ids, 2)
+            for factors in ([a, b], [a, DELTA], [a, rng.choice(others)], [a, b, rng.choice(others)]):
+                rng.shuffle(factors)
+                want = oracles.cup_by_creation(factors, n)
+                assert cup_int_list(factors, n) == want, factors
+                padded = [pad_class(c(*f), n) for f in factors]
+                assert cup_int_list(padded, n, canonical=True) == want, factors
+
+
+def test_operator_excludes_repeated_h2_labels():
+    # m_(1,1)(alpha) = (p_1^2 - p_2)/2 has a 2-cycle term, so a repeated H^2
+    # label stays on the creation path; repeated points and units do not
+    from k3hilb.qin_wang import _operator
+
+    for sym in (((1, 1), (7, 7)), ((1, 1, 1), (23, 7, 7)), ((1, 1, 1), (8, 8, 1)), ((2, 1), (7, 8))):
+        assert _operator(pad_class(sym, 5)) is None, sym
+    for sym in (((1, 1), (23, 23)), ((1, 1, 1), (23, 8, 7)), ((1,), (23,)), ((), ())):
+        assert _operator(pad_class(sym, 5)) is not None, sym
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_mult_divisor_by_the_point_matches_creation_path(n):
+    # ([1],[pt]): the unit parts move to the point, nothing else moves
+    from k3hilb.qin_wang import _mult_divisor
+
+    for d in range(0, 4 * n + 1, 2):
+        for sym in hilb_base(n, d):
+            want = oracles.cup_by_creation([((1,), (23,)), sym], n)
+            assert _mult_divisor(23, sym) == want, sym
