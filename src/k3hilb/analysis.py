@@ -312,12 +312,16 @@ def class_alpha_generator(i):
 
     An integral combination of products of the i-labeled symbols with boundary
     powers; one such class per i = 1..22 generates a torsion factor of the
-    degree-6 quotient by mixed products.
+    degree-6 quotient by mixed products.  It includes -(B(e_i, e_i)/2)*c0,
+    c0 = -3*([2-1-1],[0,23,0]) - ([4],[0]), which vanishes below n = 4.
     """
     if not 1 <= i <= 22:
         raise ValueError("need an H^2 index 1..22")
     c = canonical_class
+    b = k3.bil(i, i)
     return {
+        c((2, 1, 1), (k3.UNIT, k3.POINT, k3.UNIT)): 3 * b // 2,
+        c((4,), (k3.UNIT,)): b // 2,
         c((1, 1, 1), (i, i, i)): 1,
         c((2, 1), (i, i)): -3,
         c((3,), (i,)): 3,

@@ -113,10 +113,10 @@ def cup_list(factors):
 
 
 @cache
-def cup_items(i, j):
-    """cup_list([i, j]) as items, cached for the product rules, which read
+def cup_items(*factors):
+    """cup_list(factors) as items, cached for the product rules, which read
     it once per label they meet."""
-    return tuple(cup_list([i, j]).items())
+    return tuple(cup_list(factors).items())
 
 
 def _coprod2(k):

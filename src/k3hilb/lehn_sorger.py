@@ -20,20 +20,14 @@ min(n, s(a) + s(b)), s the weight without the (1, unit) padding, rescales to
 n, and reads off classes directly, never forming canonical terms.  Neither
 the conjugates nor symbol products are cached: no workload repeats them.
 
-A factor of cycle type (1^k) or (2, 1^k) needs no conjugates, orbits or
-Euler class (Lehn and Sorger, Duke Math. J. 110, 2001).  Its model term
-meets every term of b with no graph defect: its 2-cycle cuts one cycle of b
-or joins two, as Lehn's boundary operator does (Lehn, Invent. Math. 136,
-1999), and its k labelled points are placed into the points of b's model,
-each alpha_i cupped into the label of its cycle (_mult_placed; ((1,),
-(alpha,)) with alpha in H^2 is the derivation by a label class, ((2,), (0,))
-the boundary class, ((), ()) the unit).  mult_an takes this closed form
-whenever a reduced factor qualifies, and the S_n kernel for every other
-product.
+The integral product (qin_wang) multiplies by every class of cycle type
+(1^k) or (2, 1^k) with distinct H^2 labels, or (1^k) with one label
+doubled, on the integral symbols; mult_an serves the creation expansions of
+the other factors, and the all-creation test oracle.
 """
 
 from functools import cache
-from itertools import combinations, groupby, permutations
+from itertools import combinations, permutations
 from math import factorial, perm
 
 from . import k3
@@ -332,100 +326,22 @@ def _mult_kernel(a, b, n):
     }
 
 
-def _mult_placed(a, b, n):
-    """The product of a reduced symbol a of cycle type (1^k) or (2, 1^k) with b at n.
-
-    a = ((2,)?, (1,)*k; (beta?, alpha_1..alpha_k)) symmetrized is
-    h (n - s(a))! times the sum over its placements into {0, ..., n-1}: the
-    2-cycle's unordered pair of points (h = 2; h = 1 without it) and an
-    injection of the k labelled points.  Each placement meets b's model (b
-    padded to n, unit points included) with no graph defect.  The 2-cycle
-    cuts a part p of b into (j, p - j), p ways (p / 2 when 2j = p), with
-    beta cupped into its label and comultiplied onto the pieces, or joins
-    parts p and q, p * q ways, with beta cupped into both labels.  Then
-    alpha_i is cupped into the label of the cycle that holds its point;
-    since the coproduct is H*(K3)-linear, it may go into the piece of a cut
-    that holds it.  The placements are counted on states of (part, label,
-    free points) entries, sorted, with repetition: an untouched part keeps
-    all its points free, a cut piece or a joined cycle all but the one or
-    two of the 2-cycle; an entry held c times with f free points takes
-    alpha_i in c * f ways, and a zero cup drops the state.
-    """
-
-    def move(state, drop, new, v, into):
-        rest = list(state)
-        for entry in drop:
-            rest.remove(entry)
-        key = tuple(sorted(rest + new))
-        into[key] = into.get(key, 0) + v
-
-    # a state is its entries sorted ascending; read backwards, a canonical symbol
-    start = tuple(sorted((p, l, p) for p, l in zip(*pad_class(b, n))))
-    h = 2 if a[0][:1] == (2,) else 1
-    z = h * factorial(n - sum(a[0]))
-    if h == 1:
-        states, alphas = {start: z}, a[1]
-    else:
-        states, (beta, *alphas) = {}, a[1]
-        groups = [(e, len(list(run))) for e, run in groupby(start)]
-        for i, ((p, l, _), c) in enumerate(groups):
-            for j in range(1, p // 2 + 1):  # cuts
-                w = z * c * (p // 2 if 2 * j == p else p)
-                for r, u in k3.cup_items(beta, l):
-                    for (l1, l2), x in k3._coprod_items(2, r):
-                        new = [(j, l1, j - 1), (p - j, l2, p - j - 1)]
-                        move(start, [(p, l, p)], new, w * u * x, states)
-            for k, ((q, m, _), d) in enumerate(groups[: i + 1]):  # joins
-                ways = c * (c - 1) // 2 if k == i else c * d
-                if not ways:
-                    continue
-                for r, u in k3.cup_list([beta, l, m]).items():
-                    new = [(p + q, r, p + q - 2)]
-                    move(start, [(p, l, p), (q, m, q)], new, z * ways * p * q * u, states)
-    for alpha in alphas:
-        nxt = {}
-        for state, v in states.items():
-            for (p, l, f), run in groupby(state):
-                if f:
-                    c = len(list(run))
-                    for r, w in k3.cup_items(alpha, l):
-                        move(state, [(p, l, f)], [(p, r, f - 1)], v * c * f * w, nxt)
-        states = nxt
-    acc = {}
-    for state, v in states.items():
-        parts, labels, _ = zip(*reversed(state)) if state else ((), (), ())
-        acc[parts, labels] = acc.get((parts, labels), 0) + v
-    return {s: v for s, v in acc.items() if v}
-
-
 def mult_an(a, b, n, *, canonical=False):
     """Product of two creation symbols at ambient n, as {symbol: int coeff}.
 
-    Symbols heavier than n are the zero class, so the product is empty.  A
-    reduced factor of cycle type (1^k) or (2, 1^k) takes the closed form of
-    _mult_placed; if both qualify, the one without a 2-cycle, then the one
-    with fewer parts, is placed.  Every other product runs through the S_n
-    kernel, which symmetrizes the side with the larger stabilizer at the
+    Symbols heavier than n are the zero class, so the product is empty.  The
+    S_n kernel symmetrizes the side with the larger stabilizer at the
     reduced ambient: it has the fewer conjugates, and (a, b) and (b, a) run
     the same computation.
     canonical=True takes a and b as canonical symbols, as the integral base
     change makes them, and does not validate them again.
     """
-    if canonical:
-        a, b = reduce_class(a), reduce_class(b)
-    else:
-        a = reduce_class(canonical_class(*a))
-        b = reduce_class(canonical_class(*b))
+    if not canonical:
+        a, b = canonical_class(*a), canonical_class(*b)
+    a, b = reduce_class(a), reduce_class(b)
     sa, sb = sum(a[0]), sum(b[0])
     if sa > n or sb > n:
         return {}
-    # the first part decides before the length, () < (1,) < (2,)
-    pa = a[0][:1] in ((), (1,), (2,)) and set(a[0][1:]) <= {1}
-    pb = b[0][:1] in ((), (1,), (2,)) and set(b[0][1:]) <= {1}
-    if pb and (not pa or (b[0][:1], len(b[0])) < (a[0][:1], len(a[0]))):
-        a, b = b, a
-    if pa or pb:
-        return _mult_placed(a, b, n)
     m = min(n, sa + sb)
     if (an_z(pad_class(a, m)), a) < (an_z(pad_class(b, m)), b):
         a, b = b, a

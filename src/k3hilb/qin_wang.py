@@ -8,19 +8,19 @@ expands through the inverse power-sum/monomial base change.  The inverse
 direction uses z and the forward base change, and always lands in integers.
 
 Every degree-2 class acts on the integral symbols themselves, in integers,
-through Lehn's operators read as moves of parts between labels: a divisor
-class ([1],[alpha]), alpha in H^2, as a derivation (_mult_divisor), and the
-boundary class ([2],[0]) as a cut-and-join (_mult_boundary).  So does every
-class of cycle type (1^n) whose H^2 labels are pairwise distinct, as a
-polynomial in the derivations (_mult_identity).  The other factors of a
-product go to creation symbols, are multiplied in the symmetric-group model
-and come back once, as integers over one denominator.
+through Lehn's operators read as moves of parts between labels: ([1],[alpha])
+as a derivation (_mult_divisor) and ([2],[gamma]) as a cut-and-join
+(_mult_boundary).  So does every class of cycle type (1^n) or (2, 1^k) whose
+H^2 labels are pairwise distinct, or (1^n) with one H^2 label twice, through
+those two moves (_mult_identity, _mult_two_cycle, _mult_doubled).  The other
+factors of a product go to creation symbols, are multiplied in the
+symmetric-group model and come back once, as integers over one denominator.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
-from itertools import product
+from itertools import combinations, product
 from math import factorial, gcd, prod
 from typing import NamedTuple
 
@@ -126,16 +126,21 @@ def _crea_product(acc, items, n):
     return {e: v for e, v in out.items() if v}
 
 
+def _divide(vec, den):
+    """The vector vec / den, divided exactly."""
+    for v in vec.values():
+        if v % den:
+            raise NonIntegralError(f"non-integral coefficient {Fraction(v, den)}")
+    return {s: v // den for s, v in vec.items() if v}
+
+
 def _to_integral(acc, den):
     """The integral coefficients of the creation class acc / den, divided exactly."""
     out = {}
     for e, v in acc.items():
         for s, c in _crea_to_int_items(e):
             out[s] = out.get(s, 0) + v * c
-    for v in out.values():
-        if v % den:
-            raise NonIntegralError(f"non-integral coefficient {Fraction(v, den)}")
-    return {s: v // den for s, v in out.items() if v}
+    return _divide(out, den)
 
 
 # Multiplication by a degree-2 class on the integral symbols.  Each label's
@@ -225,39 +230,40 @@ def _mult_divisor(alpha, sym):
     return {t: v for t, v in out.items() if v}
 
 
-def _mult_boundary(sym):
-    """The padded canonical symbol sym times the boundary class ([2],[0]), as
-    {padded symbol: int}.
+def _mult_boundary(sym, gamma=UNIT):
+    """The padded canonical symbol sym times ([2],[gamma]), as {padded
+    symbol: int}; gamma = UNIT is the boundary class.
 
     Lehn's cut-and-join operator (Invent. Math. 136, 1999) as moves of parts
-    between labels.  Twice the product is the sum, over ordered choices, of
-    the cuts, R_k on a label l and then p_j on l1 and p_(k-j) on l2 for
-    0 < j < k and each term l1 (x) l2 of the coproduct of l, and the joins,
-    R_k on l, then R_k' on m, then p_(k+k') on l.m.  The halving is exact.
+    between labels, gamma cupped into each (Lehn and Sorger, Duke Math. J.
+    110, 2001).  Summed over ordered choices, the cuts, R_k on a label l,
+    then p_j on l1 and p_(k-j) on l2 for 0 < j < k and each term l1 (x) l2 of
+    the coproduct of gamma.l, and the joins, R_k on l, R_k' on m, then
+    p_(k+k') on gamma.l.m, give p_2(gamma): ([2],[gamma]) for gamma in H^2
+    or the point, twice the boundary class p_2/z_2, halved exactly.
     """
     groups = label_groups(sym)
     out = {}
     for l, parts in groups.items():
+        cuts = k3.cup_items(gamma, l)
         for k, rest, c in _removals(_kind(l), parts):
             cut = {**groups, l: rest}
-            for (l1, l2), x in k3._coprod_items(2, l):
-                for j in range(1, k):
-                    for p1, x1 in _additions(_kind(l1), cut.get(l1, ()), j):
-                        p2s = _additions(_kind(l2), p1 if l2 == l1 else cut.get(l2, ()), k - j)
-                        for p2, x2 in p2s:
-                            t = _symbol({**cut, l1: p1, l2: p2})
-                            out[t] = out.get(t, 0) + c * x * x1 * x2
+            for r, u in cuts:
+                for (l1, l2), x in k3._coprod_items(2, r):
+                    for j in range(1, k):
+                        for p1, x1 in _additions(_kind(l1), cut.get(l1, ()), j):
+                            p2s = _additions(_kind(l2), p1 if l2 == l1 else cut.get(l2, ()), k - j)
+                            for p2, x2 in p2s:
+                                t = _symbol({**cut, l1: p1, l2: p2})
+                                out[t] = out.get(t, 0) + c * u * x * x1 * x2
             for m, parts_m in cut.items():
-                cups = k3.cup_items(l, m)
-                for k2, rest2, c2 in _removals(_kind(m), parts_m) if cups else ():
-                    for r, u in cups:
+                joins = k3.cup_items(gamma, l, m)
+                for k2, rest2, c2 in _removals(_kind(m), parts_m) if joins else ():
+                    for r, u in joins:
                         for new, x in _additions(_kind(r), rest2 if r == m else cut.get(r, ()), k + k2):
                             t = _symbol({**cut, m: rest2, r: new})
                             out[t] = out.get(t, 0) + c * c2 * u * x
-    for v in out.values():
-        if v % 2:
-            raise NonIntegralError(f"non-integral coefficient {Fraction(v, 2)}")
-    return {t: v // 2 for t, v in out.items() if v}
+    return _divide(out, 2 if gamma == UNIT else 1)
 
 
 def _apply(op, vec):
@@ -271,8 +277,8 @@ def _apply(op, vec):
 
 def _mult_identity(labels, sym):
     """The padded canonical symbol sym times the padded class of cycle type
-    (1^n) with labels `labels`, its H^2 labels pairwise distinct, as
-    {padded symbol: int}.
+    (1^n) with non-unit labels `labels`, as {padded symbol: int}.  An H^2
+    label may appear twice here only as one term of _mult_doubled.
 
     In Lehn and Sorger's model (Invent. Math. 152, 2003) the class is the sum
     over the injective placements of its non-unit labels g_1..g_j into the n
@@ -313,35 +319,93 @@ def _mult_identity(labels, sym):
     return {t: v for t, v in out.items() if v}
 
 
+def _mult_two_cycle(gamma, labels, sym):
+    """The padded canonical symbol sym times C(gamma; A), the padded class of
+    cycle type (2, 1^k) with gamma on the 2-cycle and the non-unit labels A
+    on 1-cycles, its H^2 labels pairwise distinct, as {padded symbol: int}.
+
+    In Lehn and Sorger's model C(gamma; A) is 1/h times the sum over the
+    transpositions labelled gamma and the injective placements of A off
+    their points, h = 2 for gamma the unit, else 1.  M_gamma I_A, with
+    M_gamma = _mult_boundary(., gamma) and I_A = _mult_identity(A, .), also
+    puts a label a, or two labels a, b, on those points, 2 ways each:
+
+        C(gamma; A) = M_gamma I_A - (2/h) (sum_a C(gamma.a; A - a)
+                                            + sum_{a, b} C(gamma.a.b; A - a - b))
+    """
+    out = _apply(partial(_mult_boundary, gamma=gamma), _mult_identity(labels, sym))
+    w = 1 if gamma == UNIT else 2
+    index = range(len(labels))
+    for on in (*combinations(index, 1), *combinations(index, 2)):  # on the 2-cycle
+        rest = tuple(l for p, l in enumerate(labels) if p not in on)
+        for r, u in k3.cup_items(gamma, *(labels[p] for p in on)):
+            for t, v in _mult_two_cycle(r, rest, sym).items():
+                out[t] = out.get(t, 0) - w * u * v
+    return {t: v for t, v in out.items() if v}
+
+
+def _mult_doubled(alpha, labels, sym):
+    """The padded canonical symbol sym times the padded class of cycle type
+    (1^n) with non-unit labels `labels`, alpha in H^2 twice and every other
+    H^2 label once, as {padded symbol: int}: m_(1,1)(alpha) = (p_1(alpha)^2
+    - p_2(alpha))/2, so the identity-sector class with alpha placed twice,
+    minus C(alpha; the other labels), halved exactly."""
+    out = _mult_identity(labels, sym)
+    for t, v in _mult_two_cycle(alpha, tuple(l for l in labels if l != alpha), sym).items():
+        out[t] = out.get(t, 0) - v
+    return _divide(out, 2)
+
+
 def _operator(sym):
-    """The action of the padded symbol sym as a factor, or None: _mult_divisor
-    for ([1],[alpha]), alpha in H^2, _mult_boundary for ([2],[0]) and
-    _mult_identity for any other class of cycle type (1^n) whose H^2 labels
-    are pairwise distinct.  A repeated H^2 label alpha is not one: m_(1,1)
-    = (p_1^2 - p_2)/2 of ([1-1],[alpha,alpha]) has a 2-cycle term."""
+    """The action of the padded symbol sym as a factor, or None.
+
+    ([1],[alpha]), alpha in H^2, and ([2],[0]) are tested first, in O(1).
+    Then a class of cycle type (1^n) or (2, 1^k) with distinct H^2 labels,
+    or (1^n) with one H^2 label twice.  A label three times, two doubled
+    labels or the 2-cycle's H^2 label on a 1-cycle need a longer cycle.
+    """
     parts, labels = sym
     if parts[:1] == (1,) and 0 < labels[0] == sum(labels) < POINT:
         return partial(_mult_divisor, labels[0])
     if parts[:1] == (2,) and sum(parts) == len(parts) + 1 and not any(labels):
         return _mult_boundary
-    if parts[:1] == (1,) and all(a != b for a, b in zip(labels, labels[1:]) if 0 < b < POINT):
-        return partial(_mult_identity, labels)
+    if parts[:1] not in ((1,), (2,)) or sum(parts) != len(parts) + parts[0] - 1:
+        return None
+    h2 = [l for l in labels if 0 < l < POINT]
+    repeats = len(h2) - len(set(h2))
+    ones = tuple(filter(None, labels[parts[0] - 1 :]))  # the 1-cycles' labels
+    if parts[0] == 2 and not repeats:
+        return partial(_mult_two_cycle, labels[0], ones)
+    if parts[0] == 1 and repeats <= 1:  # labels sort descending, so twice is adjacent
+        doubled = [a for a, b in zip(h2, h2[1:]) if a == b]
+        return partial(_mult_doubled, doubled[0], ones) if doubled else partial(_mult_identity, ones)
     return None
 
 
+def _start(ops):
+    """The factor a product of operators alone starts from: the boundary
+    class, else the first that takes _mult_two_cycle or _mult_doubled, the
+    dearest to apply, else the first."""
+    if _mult_boundary in ops:
+        return ops.index(_mult_boundary)
+    for i, op in enumerate(ops):
+        if op.func is _mult_two_cycle or op.func is _mult_doubled:
+            return i
+    return 0
+
+
 def _cup(factors, n, canonical=False):
-    """Divisor classes, the boundary class and the other classes of cycle
-    type (1^n) with distinct H^2 labels act by _operator; the other factors
-    are multiplied as creation numerators over one denominator and divided
-    back exactly.  A product of operator factors alone starts from the
-    boundary class if it has one."""
+    """The factors that are operators (_operator) act on the integral
+    symbols; the others are multiplied as creation numerators over one
+    denominator and divided back exactly.  A product of operator factors
+    alone starts from the factor _start picks."""
     padded = [pad_class(f if canonical else canonical_class(*f), n) for f in factors]
     if None in padded:
         return {}
     ops = list(map(_operator, padded))
     rest = [s for s, op in zip(padded, ops) if op is None]
-    if not rest:  # only operators: start from the boundary class, else the first
-        i = ops.index(_mult_boundary) if _mult_boundary in ops else 0
+    if not rest:  # only operators
+        i = _start(ops)
         rest = [padded[i]]
         del ops[i]
     acc = {rest[0]: 1}
@@ -365,11 +429,11 @@ def cup_int(a, b, n):
 def cup_int_list(factors, n, *, canonical=False):
     """Cup product of a list of integral classes; equals iterated cup_int.
 
-    Divisor classes, the boundary class and the classes of cycle type (1^n)
-    with distinct H^2 labels act on the integral symbols; the others stay in
-    the creation basis until the end.  canonical=True takes the factors as
-    canonical symbols, as `hilb_base` makes them, and does not validate them
-    again.
+    Classes of cycle type (1^n) or (2, 1^k) with distinct H^2 labels, or
+    (1^n) with one H^2 label twice, act on the integral symbols (_operator);
+    the others stay in the creation basis until the end.  canonical=True
+    takes the factors as canonical symbols, as `hilb_base` makes them, and
+    does not validate them again.
     """
     if not factors:
         raise ValueError("need at least one factor")

@@ -468,24 +468,6 @@ def full_ambient_mult_an(a, b, n):
     return {s: v for s, v in acc.items() if v}
 
 
-def sn_kernel_mult_an(a, b, n, *, canonical=False):
-    """`lehn_sorger.mult_an` without its closed form `_mult_placed` for a
-    factor of cycle type (1^k) or (2, 1^k): every product runs through the
-    S_n kernel `_mult_kernel`, with the same choice of the symmetrized side.
-    Takes mult_an's `canonical` flag and validates regardless."""
-    from k3hilb.hilb_basis import an_z, canonical_class, pad_class, reduce_class
-    from k3hilb.lehn_sorger import _mult_kernel
-
-    a, b = (reduce_class(canonical_class(*s)) for s in (a, b))
-    sa, sb = sum(a[0]), sum(b[0])
-    if sa > n or sb > n:
-        return {}
-    m = min(n, sa + sb)
-    if (an_z(pad_class(a, m)), a) < (an_z(pad_class(b, m)), b):
-        a, b = b, a
-    return _mult_kernel(a, b, n)
-
-
 @lru_cache(maxsize=None)
 def _int_to_crea_memo(sym):
     """`qin_wang._int_to_crea_items`, memoized here: the creation-path oracle
@@ -503,29 +485,50 @@ def _crea_to_int_memo(sym):
     return _crea_to_int_items(sym)
 
 
+@lru_cache(maxsize=None)
+def _mult_an_memo(a, b, n):
+    """`lehn_sorger.mult_an` on canonical symbols, memoized like
+    `_int_to_crea_memo`: the oracle meets the same creation products for
+    many classes, and the S_n kernel is its only path."""
+    from k3hilb.lehn_sorger import mult_an
+
+    return tuple(mult_an(a, b, n, canonical=True).items())
+
+
 def cup_by_creation(factors, n):
     """`qin_wang.cup_int_list` with every factor in the creation basis: each
     factor's integer numerators over its denominator, multiplied through
-    `qin_wang.mult_an` (so a test can replace it), then divided back exactly.
-    No factor takes an operator on the integral symbols (`qin_wang._operator`)."""
+    `qin_wang.mult_an` (memoized, unless a test replaced it), then divided
+    back exactly.  No factor takes an operator on the integral symbols
+    (`qin_wang._operator`), and `mult_an` has one path, the S_n kernel, so
+    this oracle shares no cut-and-join or placement of labels with the
+    operators it checks."""
+    from k3hilb import lehn_sorger, qin_wang
     from k3hilb.hilb_basis import canonical_class, pad_class
-    from k3hilb.qin_wang import NonIntegralError, _crea_product
 
     padded = [pad_class(canonical_class(*f), n) for f in factors]
     if None in padded:
         return {}
+    mult = _mult_an_memo
+    if qin_wang.mult_an is not lehn_sorger.mult_an:
+        mult = lambda a, b, n: qin_wang.mult_an(a, b, n, canonical=True).items()  # noqa: E731
     scaled = [_int_to_crea_memo(s) for s in padded]
-    den, items = scaled[0]
-    acc = dict(items)
+    den, acc = scaled[0]
+    acc = dict(acc)
     for d, items in scaled[1:]:
-        acc = _crea_product(acc, items, n)
+        out = {}
+        for p, va in acc.items():
+            for q, vb in items:
+                for e, z in mult(p, q, n):
+                    out[e] = out.get(e, 0) + va * vb * z
+        acc = {e: v for e, v in out.items() if v}
         den *= d
     out = {}
     for e, v in acc.items():
         for s, c in _crea_to_int_memo(e):
             out[s] = out.get(s, 0) + v * c
     if any(v % den for v in out.values()):
-        raise NonIntegralError(f"a coefficient of {factors} at n={n} is not divisible by {den}")
+        raise qin_wang.NonIntegralError(f"a coefficient of {factors} at n={n} is not divisible by {den}")
     return {s: v // den for s, v in out.items() if v}
 
 

@@ -3,7 +3,7 @@
 Each test prints one PASS/FAIL line (visible with `pytest -s` or on failure).
 The stretch-tier criteria carry the `stretch` marker and are excluded from
 default runs; select them with `-m stretch`.  The sym3 cokernels at n = 3, 4,
-the h2xh4 cokernel at n = 3 and the middle lattice at n = 3 keep their
+the h2xh4 cokernels at n = 3, 4 and the middle lattice at n = 3 keep their
 `stretch` names but run in the default tier, now that each takes seconds.
 """
 
@@ -132,7 +132,7 @@ def test_criterion_6_cokernels_stretch_sym3_hilb4():
     "n,torsion,free",
     [
         (3, (3,) * 23, 0),
-        pytest.param(4, (2,) + (6,) * 22 + (108,), 0, marks=pytest.mark.stretch),
+        (4, (2,) + (6,) * 22 + (108,), 0),
         pytest.param(5, (), 23, marks=pytest.mark.stretch),
     ],
 )

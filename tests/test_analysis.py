@@ -341,10 +341,10 @@ def test_distinct_rows_equal_dense_dedup():
 
 
 def _assert_columns_match_s_n_kernel(n, kind, monkeypatch):
-    """Every column of a cokernel map, through the closed forms (the divisor
-    and boundary rules on the integral symbols), and again with every factor
-    in the creation basis and every product through the S_n kernel, so the
-    boundary block is never compared with itself."""
+    """Every column of a cokernel map, through the integral operators (the
+    divisor and boundary rules on the integral symbols), and again with
+    every factor in the creation basis and every product through the S_n
+    kernel, so the boundary block is never compared with itself."""
     if kind == "h2xh4":
         domain = list(product(hilb_base(n, 2), hilb_base(n, 4)))
     else:
@@ -354,7 +354,7 @@ def _assert_columns_match_s_n_kernel(n, kind, monkeypatch):
 
     def kernel(a, b, n, *, canonical=False):
         calls.append(1)
-        return oracles.sn_kernel_mult_an(a, b, n, canonical=canonical)
+        return mult_an(a, b, n, canonical=canonical)
 
     monkeypatch.setattr(qin_wang, "mult_an", kernel)
     assert [oracles.cup_by_creation(f, n) for f in domain] == closed
@@ -405,7 +405,6 @@ def test_mixed_cokernel_hilb3_stretch():
     assert all(g.ok for g in r.generator_checks)
 
 
-@pytest.mark.stretch
 def test_mixed_cokernel_hilb4_stretch():
     r = cokernel_report(4, "h2xh4", check_generators=True)
     assert r.cokernel.torsion == (2,) + (6,) * 22 + (108,)

@@ -9,7 +9,6 @@ from k3hilb.hilb_basis import an_z, canonical_class, hilb_base, pad_class, reduc
 from k3hilb.lehn_sorger import (
     _expand,
     _mult_kernel,
-    _mult_placed,
     _orbit_factors,
     _symmetrized_shape,
     _term_arrays,
@@ -356,9 +355,8 @@ def test_mult_an_matches_full_ambient_oracle(n):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_mult_deg2_matches_s_n_oracles(n):
-    # the closed form for a degree-2 factor (_mult_placed: the boundary's
-    # cut-and-join, and one placed point for a label class) against products
-    # through the S_n kernel: the naive double symmetrization while n!^2 is
+    # a degree-2 factor (the boundary class, or a label class) against the
+    # S_n oracles: the naive double symmetrization while n!^2 is
     # small, else all conjugates at the full ambient; seeded b of every
     # weight up to n, with labels that cup to nonzero classes, in both
     # argument orders
@@ -373,45 +371,6 @@ def test_mult_deg2_matches_s_n_oracles(n):
             assert mult_an(b, pad_class(a, n), n) == expected, (a, b)
             nonzero += bool(expected)
     assert nonzero >= 8
-
-
-def test_mult_deg2_matches_s_n_kernel_on_bases():
-    # every degree-2 symbol against every basis symbol of degree <= 4 at
-    # n <= 4, closed forms against the kernel (_mult_kernel) directly
-    for n in range(1, 5):
-        for a in hilb_base(n, 2):
-            ra = reduce_class(a)
-            for d in (0, 2, 4):
-                for b in hilb_base(n, d):
-                    rb = reduce_class(b)
-                    kernel = _mult_kernel(ra, rb, n)
-                    assert mult_an(a, b, n) == kernel == mult_an(b, a, n), (a, b)
-
-
-def test_mult_points_matches_s_n_kernel_on_bases():
-    # every reduced 1-cycle symbol of degree <= 6 with labels among 1, 2, 7,
-    # 8 and 23 (classes of square 0 and -2, two pairs with product 1, the
-    # point) against every basis symbol of degree <= 6 labelled by these and
-    # the unit, at n <= 4, in both orders, closed form against the kernel;
-    # all 24 labels would take millions of kernel products
-    labels = {0, 1, 2, 7, 8, 23}
-    checked = nonzero = 0
-    for n in range(1, 5):
-        basis = [
-            (s, reduce_class(s))
-            for d in (0, 2, 4, 6)
-            for s in hilb_base(n, d)
-            if set(s[1]) <= labels
-        ]
-        for a, ra in basis:
-            if set(ra[0]) - {1}:
-                continue
-            for b, rb in basis:
-                kernel = _mult_kernel(ra, rb, n)
-                assert mult_an(a, b, n) == kernel == mult_an(b, a, n), (a, b)
-                checked += 1
-                nonzero += bool(kernel)
-    assert (checked, nonzero) == (7116, 3708)
 
 
 def _random_points(rng, k):
@@ -440,38 +399,13 @@ def test_mult_points_matches_full_ambient_oracle(n):
 
 
 def test_mult_points_unit():
-    # the reduced unit, k = 0, places nothing: b padded to n, times n!, also
-    # at n = 0, where the one state is empty
+    # the reduced unit symmetrized is n! times the unit: b padded to n, times
+    # n!, also at n = 0
     for n in range(5):
         for d in (0, 2, 4, 6):
             for b in hilb_base(n, d)[:40]:
                 rb = reduce_class(b)
-                assert _mult_placed(((), ()), rb, n) == {b: factorial(n)}
                 assert _mult_kernel(((), ()), rb, n) == {b: factorial(n)}
-
-
-def test_mult_placed_two_cycle_matches_s_n_kernel_on_bases():
-    # every reduced (2, 1^k) symbol of degree <= 6 with labels among 0, 1, 2,
-    # 7, 8 and 23 against every basis symbol of degree <= 6 labelled by these,
-    # at n <= 4, in both orders, closed form against the kernel
-    labels = {0, 1, 2, 7, 8, 23}
-    checked = nonzero = 0
-    for n in range(1, 5):
-        basis = [
-            (s, reduce_class(s))
-            for d in (0, 2, 4, 6)
-            for s in hilb_base(n, d)
-            if set(s[1]) <= labels
-        ]
-        for a, ra in basis:
-            if ra[0][:1] != (2,) or set(ra[0][1:]) - {1}:
-                continue
-            for b, rb in basis:
-                kernel = _mult_kernel(ra, rb, n)
-                assert mult_an(a, b, n) == kernel == mult_an(b, a, n), (a, b)
-                checked += 1
-                nonzero += bool(kernel)
-    assert (checked, nonzero) == (5504, 2864)
 
 
 @pytest.mark.parametrize("n", range(5, 9))
@@ -500,7 +434,7 @@ def test_mult_placed_two_cycle_matches_full_ambient_oracle(n):
     # 4-cycle, which keeps the 2 points the 2-cycle did not take
     a, b = ((2, 1), (0, 7)), ((3,), (8,))
     expected = oracles.full_ambient_mult_an(a, b, n)
-    assert _mult_placed(a, b, n) == expected
+    assert mult_an(a, b, n) == expected
     assert expected[pad_class(((4,), (23,)), n)]
     assert nonzero >= 6
 

@@ -614,14 +614,175 @@ def test_cup_int_list_identity_chains_match_creation_path():
 
 
 def test_operator_excludes_repeated_h2_labels():
-    # m_(1,1)(alpha) = (p_1^2 - p_2)/2 has a 2-cycle term, so a repeated H^2
-    # label stays on the creation path; repeated points and units do not
+    # m_(1,1)(alpha) = (p_1^2 - p_2)/2 and p_2 is a 2-cycle: one doubled H^2
+    # label of a (1^n) class is an operator; a label three times, two doubled
+    # labels or the 2-cycle's H^2 label on a 1-cycle need a longer cycle
     from k3hilb.qin_wang import _operator
 
-    for sym in (((1, 1), (7, 7)), ((1, 1, 1), (23, 7, 7)), ((1, 1, 1), (8, 8, 1)), ((2, 1), (7, 8))):
+    for sym in (
+        ((1, 1, 1), (7, 7, 7)),
+        ((1, 1, 1, 1), (8, 8, 7, 7)),
+        ((2, 1), (7, 7)),
+        ((2, 1, 1), (23, 8, 8)),
+        ((2, 2), (0, 0)),
+        ((3,), (0,)),
+    ):
         assert _operator(pad_class(sym, 5)) is None, sym
-    for sym in (((1, 1), (23, 23)), ((1, 1, 1), (23, 8, 7)), ((1,), (23,)), ((), ())):
+    for sym in (
+        ((1, 1), (7, 7)),
+        ((1, 1, 1), (23, 7, 7)),
+        ((1, 1, 1), (8, 8, 1)),
+        ((2, 1), (7, 8)),
+        ((2, 1, 1), (23, 23, 7)),
+        ((2, 1), (0, 7)),
+        ((1, 1), (23, 23)),
+        ((1, 1, 1), (23, 8, 7)),
+        ((1,), (23,)),
+        ((), ()),
+    ):
         assert _operator(pad_class(sym, 5)) is not None, sym
+
+
+# ---------------------------------------------------------------------------
+# classes of cycle type (2, 1^k) with distinct H^2 labels and of cycle type
+# (1^n) with one doubled H^2 label, against the creation path
+
+
+def _degree2_move_factors(n):
+    """Every padded class labelled in PALETTE of cycle type (2, 1^k) whose
+    H^2 labels are pairwise distinct, or of cycle type (1^n) with exactly one
+    H^2 label twice, but not ([2],[0]): each takes _mult_two_cycle or
+    _mult_doubled."""
+    from k3hilb.qin_wang import _operator
+
+    out = []
+    for d in range(0, 4 * n + 1, 2):
+        for sym in hilb_base(n, d):
+            parts, labels = sym
+            h2 = [l for l in labels if 0 < l < 23]
+            twice = len(h2) - len(set(h2))
+            if set(parts) - {1} == ({2} if parts.count(2) == 1 else set()) and set(labels) <= PALETTE:
+                if (parts[0] == 2 and not twice and any(labels)) or (parts[0] == 1 and twice == 1):
+                    assert _operator(sym) is not None, sym
+                    out.append(sym)
+    return out
+
+
+def _assert_degree2_moves_match_creation_path(n, classes):
+    from k3hilb.qin_wang import _operator
+
+    for f in _degree2_move_factors(n):
+        act = _operator(f)
+        for sym in classes:
+            assert act(sym) == oracles.cup_by_creation([f, sym], n), (f, sym)
+
+
+def test_degree2_moves_match_creation_path_on_bases():
+    # every factor labelled in PALETTE times every basis class at n = 2; at
+    # n = 1 there is none
+    assert _degree2_move_factors(1) == []
+    _assert_degree2_moves_match_creation_path(2, [s for d in range(9) for s in hilb_base(2, d)])
+
+
+def test_degree2_moves_match_creation_path_on_palette_hilb3():
+    # at n = 3 the classes labelled in PALETTE, against 99 factors
+    classes = [s for d in range(13) for s in hilb_base(3, d) if set(s[1]) <= PALETTE]
+    _assert_degree2_moves_match_creation_path(3, classes)
+
+
+def _random_degree2_move_factor(rng, n):
+    """A padded (2, 1^k) class with distinct H^2 labels or a padded (1^n)
+    class with one doubled H^2 label, with labels that pair (B != 0), points
+    on the 1-cycles, and the unit, an H^2 label or the point on the 2-cycle."""
+    h2 = rng.sample((1, 2, 3, 7, 8, 9, 12, 15), rng.randint(0, min(3, n - 2)))
+    points = [23] * rng.randint(0, n - 2 - len(h2))
+    if rng.random() < 0.5:
+        gamma = rng.choice([0, 23] + [g for g in (1, 2, 7, 8) if g not in h2])
+        return pad_class(c((2,) + (1,) * (len(h2) + len(points)), [gamma] + h2 + points), n)
+    alpha = rng.choice([a for a in (1, 2, 7, 8, 12) if a not in h2])
+    return pad_class(c((1,) * (2 + len(h2) + len(points)), [alpha] * 2 + h2 + points), n)
+
+
+def test_degree2_moves_match_creation_path_random():
+    from k3hilb.qin_wang import _operator
+
+    rng = random.Random(67)
+    kinds = set()
+    for _ in range(200):
+        n = rng.randint(4, 6)
+        f = _random_degree2_move_factor(rng, n)
+        sym = pad_class(_random_symbol(rng, n), n)
+        assert _operator(f)(sym) == oracles.cup_by_creation([f, sym], n), (f, sym)
+        kinds.add((f[0][0], f[1][0] if f[0][0] == 2 else 1))
+    assert kinds >= {(2, 0), (2, 1), (2, 23), (1, 1)}, kinds
+
+
+def _mutation_caught(n, factors):
+    """Whether some factor times some class at n differs from the creation
+    path; the classes are those labelled 0, 1, 2, 7, 8 and 23."""
+    classes = [s for d in range(0, 4 * n + 1, 2) for s in hilb_base(n, d) if set(s[1]) <= {0, 1, 2, 7, 8, 23}]
+    return any(
+        cup_int(f, sym, n) != oracles.cup_by_creation([f, sym], n) for f in factors for sym in classes
+    )
+
+
+def test_degree2_moves_mutations_are_caught(monkeypatch):
+    from k3hilb import qin_wang
+
+    two_cycles = [((2, 1), (0, 7)), ((2, 1), (1, 2)), ((2, 1, 1), (7, 8, 23))]
+    doubled = [((1, 1), (7, 7)), ((1, 1, 1), (8, 7, 7))]
+    real_boundary, real_two_cycle, real_doubled = (
+        qin_wang._mult_boundary,
+        qin_wang._mult_two_cycle,
+        qin_wang._mult_doubled,
+    )
+    assert not _mutation_caught(3, two_cycles + doubled)
+
+    def halved(sym, gamma=0):  # halving for an H^2 label gamma too
+        out = real_boundary(sym, gamma)
+        return out if gamma in (0, 23) else {t: Fraction(v, 2) for t, v in out.items()}
+
+    monkeypatch.setattr(qin_wang, "_mult_boundary", halved)
+    assert _mutation_caught(3, two_cycles[1:])
+    monkeypatch.undo()
+
+    depth = [0]
+
+    def doubled_correction(gamma, labels, sym):  # the recursion's terms twice
+        depth[0] += 1
+        try:
+            out = real_two_cycle(gamma, labels, sym)
+        finally:
+            depth[0] -= 1
+        return {t: 2 * v for t, v in out.items()} if depth[0] else out
+
+    monkeypatch.setattr(qin_wang, "_mult_two_cycle", doubled_correction)
+    assert _mutation_caught(3, two_cycles)
+    monkeypatch.undo()
+
+    monkeypatch.setattr(qin_wang, "_mult_doubled", lambda *a: {t: 2 * v for t, v in real_doubled(*a).items()})
+    assert _mutation_caught(3, doubled)
+
+
+def test_degree2_moves_take_no_creation_product(monkeypatch):
+    # products of two (2, 1^6) classes, of two (1^8) classes with a doubled
+    # H^2 label, and of a (2, 2, 1^4) class with one, at n = 8: at most one
+    # factor is not an operator, so no product reaches mult_an
+    from k3hilb import qin_wang
+
+    pairs = [
+        (((2, 1, 1, 1), (0, 20, 17, 9)), ((2,), (16,))),
+        (((2, 2), (19, 16)), ((1, 1, 1, 1), (17, 5, 5, 3))),
+        (((2, 1, 1), (5, 21, 20)), ((2, 1, 1), (12, 21, 7))),
+        (((1, 1, 1, 1), (22, 19, 9, 9)), ((1, 1, 1), (20, 19, 19))),
+        (((2,), (14,)), ((2, 1), (11, 23))),
+        (((2, 1, 1), (0, 21, 19)), ((2, 1, 1), (0, 17, 14))),
+        (((2,), (19,)), ((2, 1, 1), (8, 18, 11))),
+    ]
+    calls = []
+    monkeypatch.setattr(qin_wang, "mult_an", lambda *a, **k: calls.append(a))
+    products = [cup_int(a, b, 8) for a, b in pairs]
+    assert calls == [] and all(products)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
