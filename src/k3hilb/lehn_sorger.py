@@ -336,9 +336,11 @@ def mult_an(a, b, n, *, canonical=False):
     canonical=True takes a and b as canonical symbols, as the integral base
     change makes them, and does not validate them again.
     """
-    if not canonical:
-        a, b = canonical_class(*a), canonical_class(*b)
-    a, b = reduce_class(a), reduce_class(b)
+    if canonical:
+        a, b = reduce_class(a), reduce_class(b)
+    else:
+        a = reduce_class(canonical_class(*a))
+        b = reduce_class(canonical_class(*b))
     sa, sb = sum(a[0]), sum(b[0])
     if sa > n or sb > n:
         return {}
