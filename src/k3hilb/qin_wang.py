@@ -383,15 +383,13 @@ def _operator(sym):
 
 
 def _start(ops):
-    """The factor a product of operators alone starts from: the boundary
-    class, else the first that takes _mult_two_cycle or _mult_doubled, the
-    dearest to apply, else the first."""
-    if _mult_boundary in ops:
-        return ops.index(_mult_boundary)
+    """The factor a product of operators alone starts from: the first that
+    takes _mult_two_cycle or _mult_doubled, the dearest to apply, else the
+    boundary class, else the first."""
     for i, op in enumerate(ops):
-        if op.func is _mult_two_cycle or op.func is _mult_doubled:
+        if getattr(op, "func", None) in (_mult_two_cycle, _mult_doubled):
             return i
-    return 0
+    return ops.index(_mult_boundary) if _mult_boundary in ops else 0
 
 
 def _cup(factors, n, canonical=False):

@@ -3,14 +3,15 @@ signature and determinant of symmetric forms.
 
 Matrices are plain lists of rows of Python integers, so nothing ever
 overflows; nothing beyond the standard library is imported.  The Smith
-reduction is one elimination over sparse rows: the +-1 entries of the
-sparse cup-product matrices first, cheapest first, then pivots of least
-absolute value.  A symmetric form given as sparse rows gets its signature
-and determinant together, from one fraction-free elimination per connected
-block.
+reduction is one elimination over sparse rows that never rescans them per
+pivot: +-1 column singletons from a worklist, the other +-1 entries by lazy
+Markowitz cost, then the least entries from a heap, with one scan per
+distinct factor to prove that it divides every entry left.  A symmetric
+form given as sparse rows gets its signature and determinant together, from
+one fraction-free elimination per connected block.
 """
 
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -29,30 +30,34 @@ def _eliminate(rows, u):
     """Smith-reduce sparse rows in place; returns the pivots as (row, factor).
 
     `rows` are sparse rows {column: value} and `u` their sparse row transforms
-    (or None); only row operations are mirrored on `u`.  Pivots at +-1 entries
-    come first, cheapest first by Markowitz cost (row nonzeros - 1) * (column
-    nonzeros - 1) (Dumas, Saunders and Villard, J. Symbolic Comput. 32, 2001);
-    then the least entry in absolute value, cheapest first, reduced until it
+    (or None); only row operations are mirrored on `u`.  Pivots are taken, in
+    this order of preference, from a worklist of the columns with one entry,
+    at +-1, which need no arithmetic (the singleton removal of LaMacchia and
+    Odlyzko, CRYPTO '90); from a heap of the +-1 entries, cheapest first by
+    Markowitz cost (row nonzeros - 1) * (column nonzeros - 1) (Dumas, Saunders
+    and Villard, J. Symbolic Comput. 32, 2001), kept lazily: a leaving pivot
+    row pushes nothing and a popped entry whose cost has risen goes back; and,
+    once no +-1 entry is left, from a heap of every live entry keyed on
+    (|x|, cost), which each changed row joins.  A pivot is reduced until it
     divides every entry left: row operations clear its column and column
-    operations its row, a remainder of either becomes the pivot, and a row with
-    an entry the pivot does not divide is added to the pivot row.  The settled
-    pivot's row is emptied, since column operations would clear it and change
-    no row still in play.  The factors come out as a divisibility chain.
+    operations its row, a remainder of either becomes the pivot, and a row
+    with an entry the pivot does not divide is added to the pivot row.  A scan
+    that finds no such row proves that |p| divides every live entry; integer
+    row and column moves keep that true, so a later pivot of the same |p|
+    skips the scan.  The settled pivot's row is emptied, since column
+    operations would clear it and change no row still in play.  The factors
+    come out as a divisibility chain.
     """
     cols = {}
     for i, row in enumerate(rows):
         for j in row:
             cols.setdefault(j, set()).add(i)
     live = {i for i, row in enumerate(rows) if row}
-    heap = []
     dirty = set()
+    content = 0  # |p| of the last scan that found every live entry divisible
 
     def cost(i, j):
         return (len(rows[i]) - 1) * (len(cols[j]) - 1)
-
-    def push(i, j):
-        if rows[i][j] in (1, -1):
-            heappush(heap, (cost(i, j), i, j))
 
     def add_row(k, i, f):
         # row k += f * row i, on the rows and on u
@@ -79,6 +84,7 @@ def _eliminate(rows, u):
 
     def settle(i, j):
         # reduce the pivot (i, j) until it divides every entry left
+        nonlocal content
         while True:
             p = rows[i][j]
             rest = [k for k in cols[j] if k != i]
@@ -93,6 +99,7 @@ def _eliminate(rows, u):
             if p in (1, -1):
                 return i, 1
             row = rows[i]
+            dirty.add(i)
             for c in [c for c in row if c != j]:
                 # column c -= (row[c] // p) * column j, which meets no other row
                 r = row[c] % p
@@ -104,26 +111,41 @@ def _eliminate(rows, u):
             if len(row) > 1:
                 j = min((c for c in row if c != j), key=lambda c: abs(row[c]))
                 continue
+            if abs(p) == content:
+                return i, content
             k = next((k for k in live if k != i and any(x % p for x in rows[k].values())), None)
             if k is None:
-                return i, abs(p)
+                content = abs(p)
+                return i, content
             add_row(i, k, 1)
 
-    for i, row in enumerate(rows):
-        for j in row:
-            push(i, j)
+    singles = [j for j, col in cols.items() if len(col) == 1 and rows[min(col)][j] in (1, -1)]
+    units = [(cost(i, j), i, j) for i in live for j, x in rows[i].items() if x in (1, -1)]
+    heapify(units)
+    least = None
     pivots = []
     while True:
-        if heap:
-            c, i, j = heappop(heap)
-            if rows[i].get(j) not in (1, -1) or c != cost(i, j):
-                continue  # stale: a later push or the scan below finds it
-        elif live:
-            least = min(abs(x) for k in live for x in rows[k].values())
-            ties = ((k, c) for k in live for c, x in rows[k].items() if abs(x) == least)
-            _, i, j = min((cost(k, c), k, c) for k, c in ties)
+        if singles:
+            j = singles.pop()
+            if not cols[j]:
+                continue  # its row left as the pivot of another singleton
+            (i,) = cols[j]
+        elif units:
+            c, i, j = heappop(units)
+            if rows[i].get(j) not in (1, -1):
+                continue
+            if cost(i, j) > c:
+                heappush(units, (cost(i, j), i, j))
+                continue
         else:
-            return pivots
+            if least is None:
+                least = [(abs(x), cost(i, j), i, j) for i in live for j, x in rows[i].items()]
+                heapify(least)
+            if not least:
+                return pivots
+            a, _, i, j = heappop(least)
+            if abs(rows[i].get(j, 0)) != a:
+                continue  # changed: its row was pushed again
         dirty.clear()
         i, d = settle(i, j)
         pivots.append((i, d))
@@ -131,13 +153,16 @@ def _eliminate(rows, u):
         rows[i] = {}
         live.discard(i)
         for c in prow:
-            cols[c].discard(i)
+            col = cols[c]
+            col.discard(i)
+            if len(col) == 1 and rows[min(col)][c] in (1, -1):
+                singles.append(c)
         for k in dirty:
-            for c in rows[k]:
-                push(k, c)
-        for c in prow:
-            for k in cols[c]:
-                push(k, c)
+            for c, x in rows[k].items():
+                if x in (1, -1):
+                    heappush(units, (cost(k, c), k, c))
+                if least is not None:
+                    heappush(least, (abs(x), cost(k, c), k, c))
 
 
 def smith_form(rows, transforms=False):
@@ -152,10 +177,11 @@ def smith_form(rows, transforms=False):
     of U * mat vanish and d_i divides row i, which is all that the order of
     an image in the cokernel depends on.
 
-    One sparse elimination (`_eliminate`) takes the +-1 pivots, cheapest
-    first, and then pivots of least absolute value.  U is the transforms of
-    the pivot rows in pivot order, then those of the rows it zeroed, in
-    index order.
+    One sparse elimination (`_eliminate`): +-1 column singletons from a
+    worklist, the other +-1 pivots by lazy Markowitz cost, then the least
+    entries from a heap, one divisibility scan proving each distinct factor.  U
+    is the transforms of the pivot rows in pivot order, then those of the
+    rows it zeroed, in index order.
     """
     m = len(rows)
     rows = [{j: int(x) for j, x in row.items() if x} for row in rows]

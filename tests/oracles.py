@@ -876,6 +876,22 @@ def assert_smith_row_transform(mat, factors, u):
         assert all(x % d == 0 for x in row)
 
 
+def assert_sparse_smith_row_transform(rows, factors, u):
+    """The sparse half of assert_smith_row_transform, for matrices too large
+    to make dense: rows r and beyond of u * rows vanish and d_i divides row i,
+    with `rows` and `u` as sparse rows {column: value}.  |det u| = 1 is not
+    checked."""
+    assert len(u) == len(rows)
+    r = len(factors)
+    for i, urow in enumerate(u):
+        acc = {}
+        for k, x in urow.items():
+            for c, y in rows[k].items():
+                acc[c] = acc.get(c, 0) + x * y
+        bad = [c for c, v in acc.items() if (v % factors[i] if i < r else v)]
+        assert not bad, (i, bad[:3])
+
+
 def perm_count_of_cycle_type(lam, n):
     """Number of permutations in S_n with the given cycle type, by enumeration."""
     return sum(1 for p in permutations(range(n)) if cycle_type(p) == lam)

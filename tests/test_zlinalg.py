@@ -121,6 +121,39 @@ def test_snf_scrambled_few_units_residual_does_the_work():
     oracles.assert_smith_row_transform(mat, factors, u)
 
 
+@pytest.mark.parametrize("seed", [23, 29, 31])
+def test_snf_scrambled_three_non_unit_values(seed):
+    # three distinct non-unit values, each proved to divide every live entry
+    # by one scan and then taken without one; the least-entry heap meets
+    # ties across rows
+    diag = [1] * 20 + [2] * 5 + [4] * 3 + [12] * 2
+    mat = scrambled_diagonal(diag, 34, 32, seed=seed)
+    assert smith_normal_form(mat) == diag
+    factors, u = smith_normal_form(mat, transforms=True)
+    assert factors == diag
+    oracles.assert_smith_row_transform(mat, factors, u)
+
+
+@pytest.mark.parametrize("kind", ["sym2", "sym3", "h2xh4"])
+def test_smith_form_row_transform_on_cokernel_maps_hilb3(kind, monkeypatch):
+    # the pivot order decides U, and the generator orders are read through
+    # it: certify U on the real maps, on sparse rows
+    from k3hilb import analysis
+
+    seen = []
+
+    def spy(rows, transforms=False):
+        seen.append(rows)
+        return smith_form(rows, transforms)
+
+    monkeypatch.setattr(zlinalg, "smith_form", spy)
+    report = analysis.cokernel_report(3, kind)
+    (rows,) = seen
+    factors, u = smith_form(rows, transforms=True)
+    assert zlinalg.CokernelStructure.from_factors(factors, len(rows)) == report.cokernel
+    oracles.assert_sparse_smith_row_transform(rows, factors, u)
+
+
 @pytest.mark.parametrize(
     "mat,diag",
     [
@@ -137,6 +170,14 @@ def test_snf_scrambled_few_units_residual_does_the_work():
         ([[-4, -6]], [2]),
         ([[0, -4], [-6, 0]], [2, 12]),
         ([[-4, 6], [6, -4]], [2, 10]),
+        # no +-1 entry: the unit heap starts empty
+        ([[2, 4], [6, 8]], [2, 4]),
+        # 2 is proved to divide every live entry; the next least entry, 4,
+        # does not divide 6, so its scan must run and the factor is 2 again
+        ([[2, 0, 0], [0, 4, 0], [0, 0, 6]], [2, 2, 12]),
+        # the first 2 fails its scan and settles at 1, which proves nothing:
+        # the second 2 must scan again and meet the second 3
+        ([[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]], [1, 1, 6, 6]),
     ],
     ids=[
         "2.3",
@@ -149,6 +190,9 @@ def test_snf_scrambled_few_units_residual_does_the_work():
         "neg4-6",
         "4.6-anti",
         "neg4.6",
+        "no-unit",
+        "content-then-larger",
+        "failed-scan",
     ],
 )
 def test_snf_non_unit_pivots(mat, diag):
