@@ -8,7 +8,7 @@ process.  Cokernels and lattice invariants come out of :mod:`k3hilb.zlinalg`.
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations_with_replacement, groupby, product
-from math import factorial, gcd, prod
+from math import comb, factorial, gcd, prod
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -215,18 +215,116 @@ _HYPERBOLIC, _E8 = (1, 2), tuple(range(7, 15))
 _H2_SUMMANDS = (_HYPERBOLIC,) * 3 + (_E8,) * 2
 
 
+def _summand_symbols(labels, w):
+    """The weight-w symbols all of whose labels lie in `labels`, canonical: per
+    partition of w, one multiset of the labels per group of equal parts."""
+    down = sorted(labels, reverse=True)
+    out = []
+    for lam in part_of_weight(w):
+        runs = [len(list(run)) for _, run in groupby(lam)]
+        multisets = product(*(combinations_with_replacement(down, m) for m in runs))
+        out.extend((lam, sum(groups, ())) for groups in multisets)
+    return out
+
+
+def _multisets(r, k):
+    """The number of k-multisets from r elements."""
+    return comb(r + k - 1, k) if r else int(k == 0)
+
+
+@cache
+def _label_form(labels):
+    """The inertia (p, q) and |det| of B on `labels`; ValueError if degenerate."""
+    rows = [{j: k3.bil(x, y) for j, y in enumerate(labels)} for x in labels]
+    sig, det = zlinalg.form_invariants(rows)
+    if not det:
+        raise ValueError(f"B is degenerate on the labels {labels}")
+    return (len(labels) + sig) // 2, (len(labels) - sig) // 2, abs(det)
+
+
+@cache
+def _permanent(alpha, beta):
+    """sum over sigma in S_k of prod_i B(alpha_i, beta_sigma(i)), for label
+    tuples sorted alike: expanded along alpha_1, one term per distinct label
+    of beta, times its multiplicity."""
+    if not alpha:
+        return 1
+    row = dict(_partners()[alpha[0]])
+    return sum(
+        beta.count(y) * row[y] * _permanent(alpha[1:], beta[:j] + beta[j + 1 :])
+        for j, y in enumerate(beta)
+        if y in row and (not j or beta[j - 1] != y)
+    )
+
+
+def _crea_entry(parts, alpha, beta):
+    """The creation pairing of (parts, alpha) with (parts, beta): see
+    `creation_pairing`, one permanent per group of equal parts."""
+    v = (-1) ** (sum(parts) - len(parts)) * prod(parts)
+    i = 0
+    for _, run in groupby(parts):
+        j = i + len(list(run))
+        v *= _permanent(alpha[i:j], beta[i:j])
+        i = j
+    return v
+
+
 @cache
 def _summand_invariants(labels, w):
     """(signature, odd, |det|) of M_w, the integral Gram on the weight-w
-    symbols of `hilb_base(w, 2w)` all of whose labels lie in `labels`.
+    symbols all of whose labels lie in `labels`, without building it.
 
     Those symbols pair only among themselves, so M_w is a union of connected
-    blocks of the weight-w middle Gram.
+    blocks of the weight-w middle Gram.  Over Q, M_w = C^T G C, with G the
+    creation pairing on the same symbols and C the creation coefficients of
+    the integral basis: square, and triangular since psi^-1 is, label by
+    label (Qin and Wang, Math. Ann. 331, 2005).  So:
+    - sigma(M_w) = sigma(G), by Sylvester's law of inertia.  G is
+      block-diagonal by cycle type lambda; a block is (-1)^(w - l(lambda))
+      prod(lambda) times the tensor product, over the part sizes, of the
+      permanent form on m-multisets of labels, m the multiplicity of the
+      part.  That form is Sym^m(B_S) in a rescaled basis, of signature
+      sum_b (-1)^b N(p, m - b) N(q, b) for B_S of inertia (p, q), N(r, k)
+      the number of k-multisets from r elements.
+    - M_w is odd iff some <b, b> is, each computed from b's creation
+      expansion, where only terms of equal cycle type pair.
+    - |det M_w| = |det C|^2 |det G|.  |det C| is the product over b of b's
+      own coefficient c_bb / d_b; |det G| is |det B_S|^(sum_s l(s) / r) times
+      prod_s prod(lambda(s)) prod_(part, label) m(s)!, over the symbols s,
+      r = |labels|, m(s) the multiplicity of a (part, label) pair in s: the
+      determinant of the permanent form in the multiset basis.
+    Raises ValueError if B is degenerate on `labels`.
     """
-    basis = [s for s in hilb_base(w, 2 * w) if set(s[1]) <= set(labels)]
-    g = _integral_gram(_creation_rows(basis), basis)
-    sig, det = zlinalg.form_invariants(g)
-    return sig, any(row.get(i, 0) % 2 for i, row in enumerate(g)), abs(det)
+    p, q, det_b = _label_form(labels)
+
+    def sym_signature(m):
+        return sum((-1) ** b * _multisets(p, m - b) * _multisets(q, b) for b in range(m + 1))
+
+    sig = sum(
+        (-1) ** (w - len(lam)) * prod(sym_signature(len(list(run))) for _, run in groupby(lam))
+        for lam in part_of_weight(w)
+    )
+    odd, num, den, length = False, 1, 1, 0
+    for s in _summand_symbols(labels, w):
+        d, items = _int_to_crea_items(s)  # a summand symbol is its own padding
+        v = sum(
+            ca * cb * _crea_entry(a[0], a[1], b[1])
+            for a, ca in items
+            for b, cb in items
+            if a[0] == b[0]
+        )
+        if v % (d * d):
+            raise ArithmeticError(f"non-integral self-pairing of {s}: {Fraction(v, d * d)}")
+        odd = odd or bool(v // (d * d) % 2)
+        c = dict(items)[s]
+        mult = prod(factorial(len(list(run))) for _, run in groupby(zip(*s)))
+        num *= prod(s[0]) * mult * c * c
+        den *= d * d
+        length += len(s[0])
+    det, rest = divmod(num * det_b ** (length // len(labels)), den)
+    if length % len(labels) or rest:
+        raise ArithmeticError(f"non-integral determinant of the summand {labels} at weight {w}")
+    return sig, odd, det
 
 
 def _tensor_sums(a, b):
@@ -256,10 +354,11 @@ def middle_lattice(n, check_unimodular=False):
     the H parts; the blocks with U != P come in hyperbolic pairs, of
     signature 0, zero diagonal and |det| = |det F|^2.  In turn F_w is the sum
     over w_1 + ... + w_5 = w of the tensor products of the M_(w_i) of the
-    summands U, U, U, -E8, -E8 of H^2(K3) (`_summand_invariants`).  So the
-    signature is sum_j p(j) sigma(F_(n - 2j)), the lattice is odd iff some
-    F_(n - 2j) is, and unimodular iff every M_w, w <= n, is; the rank is
-    `betti(n, 2n)`.
+    summands U, U, U, -E8, -E8 of H^2(K3), whose signature, parity and |det|
+    come in closed form (`_summand_invariants`): no Gram matrix is built or
+    eliminated.  So the signature is sum_j p(j) sigma(F_(n - 2j)), the
+    lattice is odd iff some F_(n - 2j) is, and unimodular iff every M_w,
+    w <= n, is; the rank is `betti(n, 2n)`.
     """
     forms = [[_summand_invariants(labels, w)[:2] for w in range(n + 1)] for labels in _H2_SUMMANDS]
     f = reduce(_tensor_sums, forms)

@@ -24,7 +24,7 @@ from .hilb_basis import (
 from .qin_wang import cup_int, cup_universal
 
 MAX_PRODUCT_N = 8
-MAX_LATTICE_N = 4
+MAX_LATTICE_N = 5
 MAX_BASIS = 1_000_000
 
 

@@ -163,9 +163,9 @@ def _goettsche_soergel_signatures(nmax):
 
 
 def test_middle_lattice_signature_is_goettsche_soergel():
-    series = _goettsche_soergel_signatures(4)
-    assert series == [1, -16, 156, -1152, 7082]
-    for n in (1, 2, 3, 4):
+    series = _goettsche_soergel_signatures(6)
+    assert series == [1, -16, 156, -1152, 7082, -38016, 183592]
+    for n in (1, 2, 3, 4, 5):
         assert middle_lattice(n).signature == series[n]
 
 
@@ -221,6 +221,50 @@ def test_summand_forms_unimodular_and_e8_definite(w):
     assert det == 1
     # -E8 is negative definite and a part of size k carries the sign (-1)^(k-1)
     assert sig == (-1) ** w * rank(analysis._E8)
+
+
+@pytest.mark.parametrize("labels", [analysis._HYPERBOLIC, analysis._E8])
+def test_summand_symbols_are_the_filtered_basis(labels):
+    for w in range(6):
+        symbols = analysis._summand_symbols(labels, w)
+        filtered = [s for s in hilb_base(w, 2 * w) if set(s[1]) <= set(labels)]
+        assert len(set(symbols)) == len(symbols) == len(filtered), w
+        assert set(symbols) == set(filtered), w
+
+
+def _eliminated_summand_invariants(labels, w):
+    """(signature, odd, |det|) of the integral Gram on the weight-w symbols
+    labelled in `labels`, built whole from the restricted creation pairing
+    and eliminated."""
+    basis = [s for s in hilb_base(w, 2 * w) if set(s[1]) <= set(labels)]
+    index = {s: i for i, s in enumerate(basis)}
+    gc = [
+        {index[q]: v for q, v in analysis.creation_pairing(p).items() if q in index}
+        for p in basis
+    ]
+    g = analysis._integral_gram(gc, basis)
+    sig, det = zlinalg.form_invariants(g)
+    return sig, any(row.get(i, 0) % 2 for i, row in enumerate(g)), abs(det)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [(7,), (7, 8), (7, 8, 9), (7, 9), (1, 2, 7), analysis._HYPERBOLIC, analysis._E8],
+)
+def test_summand_invariants_equal_elimination(labels):
+    # B is not unimodular on the first five label sets, so the power of
+    # |det B_S| counts as well; the largest Gram, E8 at w = 4, has 726 rows
+    for w in range(5):
+        expected = _eliminated_summand_invariants(labels, w)
+        assert analysis._summand_invariants(labels, w) == expected, w
+
+
+def test_summand_determinants_off_the_unimodular_summands():
+    assert [analysis._summand_invariants((7,), w)[2] for w in range(1, 5)] == [2, 8, 64, 4096]
+    dets = [analysis._summand_invariants((7, 8), w)[2] for w in range(1, 5)]
+    assert dets == [3, 81, 3**11, 3**27]
+    with pytest.raises(ValueError):
+        analysis._summand_invariants((1,), 2)  # B(1, 1) = 0
 
 
 @pytest.mark.parametrize("labels", [analysis._HYPERBOLIC, analysis._E8])

@@ -10,7 +10,7 @@ import pytest
 
 from k3hilb import analysis
 from k3hilb.cli import run
-from k3hilb.hilb_basis import canonical_class, parse_class
+from k3hilb.hilb_basis import betti, canonical_class, parse_class
 import oracles
 
 
@@ -249,6 +249,42 @@ def test_lattice_hilb4_unimodular_stretch():
     )
 
 
+def test_lattice_hilb5_unimodular():
+    # in the default tier since the summands' invariants come in closed form:
+    # ~0.3 s cold (75 s with one elimination per summand)
+    assert invoke("lattice", "--n", "5", "--unimodular") == (
+        0,
+        "rank 125604, even, signature -38016, unimodular\n",
+    )
+    code, text = invoke("--json", "lattice", "--n", "5", "--unimodular")
+    assert code == 0
+    assert json.loads(text) == {
+        "n": 5,
+        "rank": 125604,
+        "parity": "even",
+        "signature": -38016,
+        "unimodular": True,
+    }
+
+
+@pytest.mark.stretch
+@pytest.mark.parametrize(
+    "n, rank, parity, signature",
+    [
+        (6, 727606, "odd", 183592),
+        (7, 3834308, "even", -813568),
+        (8, 18669447, "odd", 3355287),
+    ],
+)
+def test_lattice_forced_unimodular_stretch(n, rank, parity, signature):
+    # the signatures are the Goettsche-Soergel values; n = 8 takes ~6 s
+    assert betti(n, 2 * n) == rank
+    assert invoke("--force", "lattice", "--n", str(n), "--unimodular") == (
+        0,
+        f"rank {rank}, {parity}, signature {signature}, unimodular\n",
+    )
+
+
 def test_lattice_jobs_output_matches_serial():
     # every command accepts --jobs in 1..CPU count and ignores it
     commands = (
@@ -332,7 +368,7 @@ def test_sym2_generators_take_no_creation_product(monkeypatch):
 def test_usage_error_size_limit():
     code, _ = invoke("cup", "--n", "9", "([2],[0])", "([2],[0])")
     assert code == 2
-    code, _ = invoke("lattice", "--n", "5")
+    code, _ = invoke("lattice", "--n", "6")
     assert code == 2
 
 
