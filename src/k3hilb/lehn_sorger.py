@@ -27,7 +27,7 @@ the other factors, and the all-creation test oracle.
 """
 
 from functools import cache
-from itertools import combinations, permutations
+from itertools import permutations
 from math import factorial, perm
 
 from . import k3
@@ -209,64 +209,36 @@ def mult_sn(a, b):
     return dict(_mult_sn_items(a, b))
 
 
-def _distinct_cycles(support):
-    """All distinct cycles on a support, oriented with the maximum first."""
-    support = sorted(support)
-    head = support[-1]
-    rest = support[:-1]
-    return [(head,) + p for p in permutations(rest)]
-
-
 def _symmetrized_shape(parts, labels):
     """Distinct conjugates of the model term of (parts, labels), plus multiplicity.
 
-    Conjugates are enumerated directly: group equal (part, label) pairs, pick
-    unordered disjoint supports for each group (minima increasing breaks the
-    ordering ambiguity), and take every cyclic arrangement on each support.
-    The multiplicity is n!/#terms, the size of the stabilizer.
+    Conjugates are enumerated one cycle at a time: the least free point opens
+    a cycle of a (part, label) pair still wanted, and an ordered choice of
+    the other free points closes it.  Every cycle starts at its least point
+    and the cycles open in increasing order, so each conjugate comes out
+    once.  The multiplicity is n!/#terms, the size of the stabilizer.
     """
-    n = sum(parts)
-    groups = []
-    for size, label in zip(parts, labels):
-        if groups and groups[-1][0] == (size, label):
-            groups[-1][1] += 1
-        else:
-            groups.append([(size, label), 1])
-
     terms = []
 
-    def fill_group(points, gi, count, floor, pieces):
-        if count == 0:
-            place(points, gi + 1, pieces)
-            return
-        size, label = groups[gi][0]
-        usable = sorted(v for v in points if v > floor)
-        if len(usable) < count * size:
-            return
-        if size == 1 and gi == len(groups) - 1:
-            # the last group is all 1-cycles: it takes every remaining point
-            terms.append(canonical_term(pieces + [((v,), label) for v in usable]))
-            return
-        for support in combinations(usable, size):
-            remaining = points - set(support)
-            for cyc in _distinct_cycles(support):
-                pieces.append((cyc, label))
-                fill_group(remaining, gi, count - 1, support[0], pieces)
-                pieces.pop()
-
-    def place(points, gi, pieces):
-        if gi == len(groups):
+    def rec(free, wanted, pieces):
+        if not free:
             terms.append(canonical_term(pieces))
             return
-        fill_group(points, gi, groups[gi][1], -1, pieces)
+        v, rest = free[0], free[1:]
+        for i, (size, label) in enumerate(wanted):
+            if i and wanted[i - 1] == wanted[i]:
+                continue
+            left = wanted[:i] + wanted[i + 1 :]
+            for tail in permutations(rest, size - 1):
+                cycle = (v, *tail)
+                rec([u for u in rest if u not in cycle], left, pieces + [(cycle, label)])
 
-    place(frozenset(range(n)), 0, [])
-    terms = tuple(sorted(set(terms)))
-    total = factorial(n)
-    mult, rem = divmod(total, len(terms))
+    rec(list(range(sum(parts))), list(zip(parts, labels)), [])
+    terms.sort()
+    mult, rem = divmod(factorial(sum(parts)), len(terms))
     if rem:
         raise ArithmeticError("conjugate count does not divide n!")
-    return terms, mult
+    return tuple(terms), mult
 
 
 def to_sn(sym, n):

@@ -276,46 +276,30 @@ def _apply(op, vec):
 
 
 def _mult_identity(labels, sym):
-    """The padded canonical symbol sym times the padded class of cycle type
-    (1^n) with non-unit labels `labels`, as {padded symbol: int}.  An H^2
-    label may appear twice here only as one term of _mult_doubled.
+    """The padded canonical symbol sym times I(A), the padded class of cycle
+    type (1^n) with non-unit labels A = `labels`, as {padded symbol: int}.
+    An H^2 label may appear twice here only as one term of _mult_doubled.
 
-    In Lehn and Sorger's model (Invent. Math. 152, 2003) the class is the sum
-    over the injective placements of its non-unit labels g_1..g_j into the n
-    points, all in the identity sector.  The product D_g1...D_gj of the
-    derivations D_g = _mult_divisor(g, .) sums over all placements: labels on
-    one point cup together, and on K3 only a pair of H^2 labels survives,
-    as B(g, h) times the point.  Moebius inversion over the set partitions
-    leaves the matchings M of the H^2 labels with B != 0:
+    In Lehn and Sorger's model (Invent. Math. 152, 2003) I(A) is the sum over
+    the injective placements of A into the n points, all in the identity
+    sector.  Peel the first label a: D_a = _mult_divisor(a, .) places a on
+    every point of each placement of A - a.  A free point gives I(A), a point
+    of the point class 0, and the point of a label b gives a.b = B(a, b) times
+    the point class, a term of I(A - a - b + pt) = D_pt I(A - a - b).  So
 
-        sum_M (-1)^|M| prod_{(g, h) in M} B(g, h) D_pt^|M| prod_{g unmatched} D_g
+        I(A) = D_a I(A - a) - sum_(b in A - a) B(a, b) D_pt I(A - a - b),
 
-    The point labels' D_pt come first, shared by every term, and each prefix
-    of derivations is applied once for all the matchings that extend it.
+    with I of no labels the class 1.
     """
-    h2 = [l for l in labels if 0 < l < POINT]
+    if not labels:
+        return {sym: 1}
+    a, rest = labels[0], labels[1:]
+    out = _apply(partial(_mult_divisor, a), _mult_identity(rest, sym))
     d_pt = partial(_mult_divisor, POINT)
-    vec = {sym: 1}
-    for _ in range(labels.count(POINT)):
-        vec = _apply(d_pt, vec)
-    out = {}
-
-    def rec(vec, c, todo):
-        if not vec:
-            return
-        if not todo:
-            for t, v in vec.items():
-                out[t] = out.get(t, 0) + c * v
-            return
-        g, *todo = todo
-        rec(_apply(partial(_mult_divisor, g), vec), c, todo)
-        pairs = [(i, b) for i, h in enumerate(todo) if (b := k3.bil(g, h))]
-        if pairs:
-            matched = _apply(d_pt, vec)
-            for i, b in pairs:
-                rec(matched, -b * c, todo[:i] + todo[i + 1 :])
-
-    rec(vec, 1, h2)
+    for i, b in enumerate(rest):
+        if c := k3.bil(a, b):
+            for t, v in _apply(d_pt, _mult_identity(rest[:i] + rest[i + 1 :], sym)).items():
+                out[t] = out.get(t, 0) - c * v
     return {t: v for t, v in out.items() if v}
 
 

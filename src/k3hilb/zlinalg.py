@@ -120,7 +120,8 @@ def _eliminate(rows, u):
             add_row(i, k, 1)
 
     singles = [j for j, col in cols.items() if len(col) == 1 and rows[min(col)][j] in (1, -1)]
-    units = [(cost(i, j), i, j) for i in live for j, x in rows[i].items() if x in (1, -1)]
+    # the worklist takes the singleton columns' entries first, so they stay out
+    units = [(cost(i, j), i, j) for i in live for j, x in rows[i].items() if x in (1, -1) and len(cols[j]) > 1]
     heapify(units)
     least = None
     pivots = []

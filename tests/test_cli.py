@@ -267,7 +267,6 @@ def test_lattice_hilb5_unimodular():
     }
 
 
-@pytest.mark.stretch
 @pytest.mark.parametrize(
     "n, rank, parity, signature",
     [

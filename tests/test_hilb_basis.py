@@ -112,8 +112,8 @@ def _oracle_base(n, d):
 
 
 # (6, 12) has 727,606 symbols; the oracle's memo takes ~0.5 GiB and seconds
-# there, so the default tier checks that degree by order, validity and count
-# and the stretch tier compares it with the oracle
+# there, so the sweep below checks that degree by order, validity and count
+# and a test of its own compares it with the oracle
 ORACLE_CASES = [
     (n, d) for n in range(7) for d in range(-2, 4 * n + 3) if (n, d) != (6, 12)
 ] + [(8, d) for d in (2, 4, 6, 8)]
@@ -141,7 +141,6 @@ def test_hilb_base_middle_n6_sorted_valid_and_complete(fresh_caches):
         assert 2 * (6 - len(parts)) + 2 * h2 + 4 * points == 12
 
 
-@pytest.mark.stretch
 def test_hilb_base_middle_n6_matches_operator_oracle_stretch(fresh_caches):
     assert hilb_base(6, 12) == _oracle_base(6, 12)
 

@@ -461,7 +461,6 @@ def test_mult_boundary_matches_creation_path_on_bases(n, top):
     _assert_boundary_matches_creation_path(n, range(0, top + 1, 2))
 
 
-@pytest.mark.stretch
 def test_mult_boundary_matches_creation_path_hilb4_stretch():
     _assert_boundary_matches_creation_path(4, (8,))
 
@@ -494,7 +493,7 @@ def test_cup_int_list_boundary_chains_match_creation_path():
             assert cup_int_list(padded, n, canonical=True) == want, factors
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, pytest.param(5, marks=pytest.mark.stretch)])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_fujiki_relation_with_boundary(n):
     # int a^(2n) = (2n)! / (n! 2^n) * q(a)^n for a = sum c_i ([1],[i]) + t*delta,
     # with q = B on H^2(K3), q(delta) = -2(n - 1) and delta orthogonal to it
@@ -769,6 +768,35 @@ def test_degree2_moves_mutations_are_caught(monkeypatch):
 
     monkeypatch.setattr(qin_wang, "_mult_doubled", lambda *a: {t: 2 * v for t, v in real_doubled(*a).items()})
     assert _mutation_caught(3, doubled)
+
+
+def test_identity_rule_mutations_are_caught(monkeypatch):
+    # the peel recursion of _mult_identity with its B(a, b) term scaled by
+    # `sign`: 1 is the rule itself, 0 drops the term and -1 flips it
+    from k3hilb import k3, qin_wang
+    from k3hilb.qin_wang import _apply, _mult_divisor
+
+    def peel(sign):
+        def mult_identity(labels, sym):
+            if not labels:
+                return {sym: 1}
+            a, rest = labels[0], labels[1:]
+            out = _apply(lambda s: _mult_divisor(a, s), mult_identity(rest, sym))
+            for i, b in enumerate(rest):
+                lower = mult_identity(rest[:i] + rest[i + 1 :], sym)
+                for t, v in _apply(lambda s: _mult_divisor(23, s), lower).items():
+                    out[t] = out.get(t, 0) - sign * k3.bil(a, b) * v
+            return {t: v for t, v in out.items() if v}
+
+        return mult_identity
+
+    paired = [((1, 1), (2, 1)), ((1, 1, 1), (23, 8, 7))]  # B(1, 2) = B(7, 8) = 1
+    assert not _mutation_caught(3, paired)
+    monkeypatch.setattr(qin_wang, "_mult_identity", peel(1))
+    assert not _mutation_caught(3, paired)
+    for sign in (0, -1):
+        monkeypatch.setattr(qin_wang, "_mult_identity", peel(sign))
+        assert _mutation_caught(3, paired), sign
 
 
 def test_degree2_moves_take_no_creation_product(monkeypatch):
