@@ -5,6 +5,7 @@ Matrices are assembled column by column from exact cup products, in one
 process.  Cokernels and lattice invariants come out of :mod:`k3hilb.zlinalg`.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache, reduce
 from itertools import combinations_with_replacement, groupby, product
@@ -15,7 +16,7 @@ from typing import NamedTuple
 from . import k3, zlinalg
 from .hilb_basis import betti, canonical_class, hilb_base, pad_class
 from .partitions import part_of_weight
-from .qin_wang import _int_to_crea_items, cup_int_list
+from .qin_wang import _apply, _int_to_crea_items, _operator, cup_int_list
 
 __all__ = [
     "sym_power_matrix",
@@ -38,8 +39,25 @@ MAP_KINDS = ("sym2", "sym3", "h2xh4")
 
 
 def _columns(domain, n):
-    """The products of the factor tuples of `domain` at n, as sparse columns."""
-    return [cup_int_list(list(factors), n, canonical=True) for factors in domain]
+    """The products of the factor tuples of `domain` at n, as sparse columns,
+    composed from operators (`qin_wang._operator`), one per distinct head: a
+    column (f_1, ..., f_k) is f_1's operator on the product of its tail
+    (f_2, ..., f_k), memoized per tail; one factor's product is its padded symbol.
+    """
+    ops, tails = {}, {}
+
+    def column(factors):
+        head, tail = factors[0], factors[1:]
+        op = ops.get(head) or ops.setdefault(head, _operator(pad_class(head, n)))
+        if op is None:
+            raise ValueError(f"{head} acts as no operator at n={n}")
+        if tail not in tails:
+            tails[tail] = column(tail) if tail[1:] else {pad_class(tail[0], n): 1}
+        vec = tails[tail]
+        # on a product of one term, the operator on its symbol alone
+        return op(*vec) if list(vec.values()) == [1] else _apply(op, vec)
+
+    return [column(factors) for factors in domain]
 
 
 def _assemble(rows, sparse_columns):
@@ -304,7 +322,7 @@ def _summand_invariants(labels, w):
         (-1) ** (w - len(lam)) * prod(sym_signature(len(list(run))) for _, run in groupby(lam))
         for lam in part_of_weight(w)
     )
-    odd, num, den, length = False, 1, 1, 0
+    odd, nums, dens, length = False, Counter(), Counter(), 0
     for s in _summand_symbols(labels, w):
         d, items = _int_to_crea_items(s)  # a summand symbol is its own padding
         v = sum(
@@ -318,9 +336,11 @@ def _summand_invariants(labels, w):
         odd = odd or bool(v // (d * d) % 2)
         c = dict(items)[s]
         mult = prod(factorial(len(list(run))) for _, run in groupby(zip(*s)))
-        num *= prod(s[0]) * mult * c * c
-        den *= d * d
+        nums[prod(s[0]) * mult * c * c] += 1
+        dens[d * d] += 1
         length += len(s[0])
+    # each distinct factor raised to its count: no product grows symbol by symbol
+    num, den = (prod(x**k for x, k in counts.items()) for counts in (nums, dens))
     det, rest = divmod(num * det_b ** (length // len(labels)), den)
     if length % len(labels) or rest:
         raise ArithmeticError(f"non-integral determinant of the summand {labels} at weight {w}")

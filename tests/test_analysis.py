@@ -19,7 +19,7 @@ from k3hilb.analysis import (
 )
 from k3hilb.hilb_basis import canonical_class, hilb_base
 from k3hilb.lehn_sorger import mult_an
-from k3hilb.qin_wang import cup_int
+from k3hilb.qin_wang import cup_int, cup_int_list
 import oracles
 from oracles import integrate, verify_quotient_generator
 
@@ -384,15 +384,19 @@ def test_distinct_rows_equal_dense_dedup():
         ]
 
 
+def _domain(n, kind):
+    """The factor tuples of a cokernel map's domain, as `cokernel_report` lists them."""
+    if kind == "h2xh4":
+        return list(product(hilb_base(n, 2), hilb_base(n, 4)))
+    return list(combinations_with_replacement(hilb_base(n, 2), 2 if kind == "sym2" else 3))
+
+
 def _assert_columns_match_s_n_kernel(n, kind, monkeypatch):
     """Every column of a cokernel map, through the integral operators (the
     divisor and boundary rules on the integral symbols), and again with
     every factor in the creation basis and every product through the S_n
     kernel, so the boundary block is never compared with itself."""
-    if kind == "h2xh4":
-        domain = list(product(hilb_base(n, 2), hilb_base(n, 4)))
-    else:
-        domain = list(combinations_with_replacement(hilb_base(n, 2), 2 if kind == "sym2" else 3))
+    domain = _domain(n, kind)
     closed = analysis._columns(domain, n)
     calls = []
 
@@ -410,6 +414,50 @@ def _assert_columns_match_s_n_kernel(n, kind, monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_map_columns_match_s_n_kernel(n, kind, monkeypatch):
     _assert_columns_match_s_n_kernel(n, kind, monkeypatch)
+
+
+def _assert_columns_equal_products(n, kind):
+    # the composed columns, from a one-shot iterator as `sym_power_matrix`
+    # passes them, against the general product of each factor tuple
+    domain = _domain(n, kind)
+    assert analysis._columns(iter(domain), n) == [cup_int_list(list(f), n) for f in domain]
+
+
+@pytest.mark.parametrize("kind", analysis.MAP_KINDS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_columns_equal_cup_int_list(n, kind):
+    _assert_columns_equal_products(n, kind)
+
+
+@pytest.mark.parametrize("kind", analysis.MAP_KINDS)
+def test_columns_take_one_operator_per_head(kind, monkeypatch):
+    # 23 distinct degree-2 heads at n = 3; a product per column would take
+    # 552, 6,900 and 13,754 operators for sym2, sym3 and h2xh4
+    calls = []
+
+    def spy(sym):
+        calls.append(sym)
+        return qin_wang._operator(sym)
+
+    monkeypatch.setattr(analysis, "_operator", spy)
+    analysis._columns(_domain(3, kind), 3)
+    assert len(calls) == len(set(calls)) == 23
+
+
+def test_columns_mutation_is_caught(monkeypatch):
+    # each head's operator applied to the head's own symbol instead of the
+    # product of the tail
+    real = qin_wang._operator
+    monkeypatch.setattr(analysis, "_operator", lambda sym: lambda _, op=real(sym): op(sym))
+    for kind in analysis.MAP_KINDS:
+        with pytest.raises(AssertionError):
+            _assert_columns_equal_products(3, kind)
+
+
+def test_columns_reject_a_head_without_operator():
+    cube = ((3,), (0,))  # the class 1^(3), of cycle type (3)
+    with pytest.raises(ValueError, match="no operator"):
+        analysis._columns([(cube, cube)], 3)
 
 
 def test_mixed_matrix_shape():
